@@ -279,6 +279,35 @@ class CompilationResult:
         return "\n".join(lines)
 
 
+def _check_placement(placement, placer_name: str, device: Device,
+                     circuit: Circuit) -> None:
+    """Reject a placer result that does not fit ``circuit`` on ``device``.
+
+    :class:`Placement` already proves its array is a permutation, so
+    checking the type and both sizes makes the result a bijection of the
+    program qubits (plus dummies) onto the device's physical qubits.
+
+    Raises:
+        ValueError: naming the placer, the expected and the actual sizes.
+    """
+    expected = (device.num_qubits, circuit.num_qubits)
+    if isinstance(placement, Placement):
+        actual = (placement.num_physical, placement.num_program)
+        if actual == expected:
+            return
+        got = (f"a Placement of {actual[0]} physical / {actual[1]} "
+               "program qubits")
+    else:
+        got = f"a {type(placement).__name__}"
+        if hasattr(placement, "__len__"):
+            got += f" of length {len(placement)}"
+    raise ValueError(
+        f"placer {placer_name!r} returned {got}; expected a Placement of "
+        f"{expected[0]} physical / {expected[1]} program qubits for "
+        f"device {device.name!r}"
+    )
+
+
 def compile_circuit(
     circuit: Circuit,
     device: Device,
@@ -299,7 +328,10 @@ def compile_circuit(
         device: Target device description.
         placer: Placement strategy name (see
             :data:`repro.mapping.placement.PLACERS`) or a callable
-            ``(circuit, device) -> Placement``.
+            ``(circuit, device) -> Placement``.  Its result (or a
+            stage-cached one) must be a :class:`Placement` on
+            ``device.num_qubits`` physical qubits with one program
+            qubit per circuit qubit; anything else raises ValueError.
         router: Router name (see :data:`repro.mapping.routing.ROUTERS`).
         router_options: Extra keyword arguments for the router.
         decompose: Lower to the native gate set (and fix CNOT directions).
@@ -362,6 +394,7 @@ def compile_circuit(
             if entry is not None:
                 placement = placement_from_obj(entry["placement"])
                 placer_name = entry["placer"]
+                _check_placement(placement, placer_name, device, prepared)
         if placement is None:
             with trace_span("placement", pass_="placement") as sp:
                 fault_point("placement")
@@ -371,6 +404,7 @@ def compile_circuit(
                 else:
                     placement = PLACERS[placer](prepared, device)
                     placer_name = placer
+                _check_placement(placement, placer_name, device, prepared)
                 if sp.enabled:
                     sp.set(placer=placer_name)
             if store is not None and not callable(placer):
@@ -540,14 +574,18 @@ def compile_circuit(
                                 {"schedule": schedule_to_obj(timed)})
 
         if root.enabled:
-            root.set(
-                gates_in=circuit.size(),
-                gates_out=native.size(),
-                depth_in=circuit.depth(),
-                depth_out=native.depth(),
-                added_swaps=routed.added_swaps,
-                flips=flips,
-            )
+            # The headline metrics cost two depth scans that only a
+            # traced compile pays; their own span keeps that work out of
+            # the compile's unattributed remainder.
+            with trace_span("metrics", pass_="metrics"):
+                root.set(
+                    gates_in=circuit.size(),
+                    gates_out=native.size(),
+                    depth_in=circuit.depth(),
+                    depth_out=native.depth(),
+                    added_swaps=routed.added_swaps,
+                    flips=flips,
+                )
 
     return CompilationResult(
         original=circuit,

@@ -192,15 +192,72 @@ def placement_cost(
     adjacent-but-unreliable edges still cost — the basis of noise-aware
     placement.
     """
+    return _pairs_cost(
+        circuit.interaction_pairs(), device, placement, distance_matrix
+    )
+
+
+def _pairs_cost(pairs, device: Device, placement: Placement,
+                distance_matrix=None) -> float:
+    """:func:`placement_cost` over a precomputed interaction histogram.
+
+    Placers that score many candidates build ``pairs`` once; iterating
+    the same ``Counter`` keeps the float summation order unchanged.
+    """
     total = 0.0
     if distance_matrix is None:
-        for (a, b), weight in circuit.interaction_pairs().items():
+        for (a, b), weight in pairs.items():
             d = device.distance(placement.phys(a), placement.phys(b))
             total += weight * max(0, d - 1)
     else:
-        for (a, b), weight in circuit.interaction_pairs().items():
+        for (a, b), weight in pairs.items():
             total += weight * distance_matrix[placement.phys(a)][placement.phys(b)]
     return total
+
+
+def _partners(circuit: Circuit, size: int) -> list[list[tuple[int, int]]]:
+    """Interaction partners ``[(other, weight)]`` of program indices
+    ``0 .. size - 1``, in :meth:`Circuit.interaction_pairs` order.
+
+    With ``size`` the device's qubit count every slot of a placement has
+    an entry: dummies (and program qubits without two-qubit gates) get
+    an empty list.
+    """
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for (a, b), weight in circuit.interaction_pairs().items():
+        partners[a].append((b, weight))
+        partners[b].append((a, weight))
+    return partners
+
+
+def _exchange_delta(partners, dist, p2h, h2p, a: int, b: int) -> int:
+    """Exact change of the hop-count :func:`placement_cost` when physical
+    qubits ``a`` and ``b`` exchange their program indices.
+
+    ``partners`` comes from :func:`_partners`, ``dist`` is the device's
+    :attr:`~repro.devices.device.Device.distance_matrix`, and ``p2h`` /
+    ``h2p`` are the placement's program-to-physical and
+    physical-to-program arrays.
+
+    Only pairs touching the program index on ``a`` or on ``b`` move.
+    Their other end sits on neither qubit, so both distances of such a
+    pair join distinct qubits, are at least 1, and the ``max(0, d - 1)``
+    discount cancels from the difference.  The pair joining the two
+    exchanged indices keeps its distance, because hop counts on the
+    undirected coupling graph are symmetric.
+    """
+    pa, pb = h2p[a], h2p[b]
+    row_a, row_b = dist[a], dist[b]
+    delta = 0
+    for other, weight in partners[pa]:
+        if other != pb:
+            q = p2h[other]
+            delta += weight * (row_b[q] - row_a[q])
+    for other, weight in partners[pb]:
+        if other != pa:
+            q = p2h[other]
+            delta += weight * (row_a[q] - row_b[q])
+    return delta
 
 
 def noise_aware_placement(
@@ -221,14 +278,15 @@ def noise_aware_placement(
     """
     matrix = noise.weighted_distance_matrix(device)
     placement = greedy_placement(circuit, device)
-    best = placement_cost(circuit, device, placement, matrix)
+    pairs = circuit.interaction_pairs()
+    best = _pairs_cost(pairs, device, placement, matrix)
     m = device.num_qubits
     for _ in range(max_rounds):
         improved = False
         for a in range(m):
             for b in range(a + 1, m):
                 placement.apply_swap(a, b)
-                cost = placement_cost(circuit, device, placement, matrix)
+                cost = _pairs_cost(pairs, device, placement, matrix)
                 if cost < best - 1e-12:
                     best = cost
                     improved = True
@@ -271,14 +329,8 @@ def greedy_placement(circuit: Circuit, device: Device) -> Placement:
     """
     _check_fits(circuit, device)
     n, m = circuit.num_qubits, device.num_qubits
-    weights = circuit.interaction_pairs()
-    strength = [0] * n
-    partners: dict[int, list[tuple[int, int]]] = {q: [] for q in range(n)}
-    for (a, b), w in weights.items():
-        strength[a] += w
-        strength[b] += w
-        partners[a].append((b, w))
-        partners[b].append((a, w))
+    partners = _partners(circuit, n)
+    strength = [sum(w for _, w in partners[q]) for q in range(n)]
 
     order = sorted(range(n), key=lambda q: -strength[q])
     degree = [len(device.neighbours[p]) for p in range(m)]
@@ -314,21 +366,33 @@ def assignment_placement(
     exchanges of physical positions until the weighted-distance objective
     (:func:`placement_cost`) stops improving.  This reaches the ILP
     optimum on the paper-scale instances while staying polynomial.
+
+    Each trial exchange is scored by its exact integer change of the
+    objective (:func:`_exchange_delta`), summed over the partners of the
+    two exchanged program qubits only; exchanges between two indices
+    without partners (free qubits) cannot change it and are skipped.  A
+    round over ``m`` physical qubits therefore costs O(m^2 + m * E) for
+    ``E`` distinct interacting pairs, instead of O(m^2 * G) for re-summing
+    ``G`` gates per trial, and visits and accepts exchanges in the same
+    order as the full re-sum, so the placement is the same.
     """
     placement = greedy_placement(circuit, device)
     best = placement_cost(circuit, device, placement)
     m = device.num_qubits
+    partners = _partners(circuit, m)
+    dist = device.distance_matrix
+    p2h, h2p = placement._p2h, placement._h2p
     for _ in range(max_rounds):
         improved = False
         for a in range(m):
             for b in range(a + 1, m):
-                placement.apply_swap(a, b)
-                cost = placement_cost(circuit, device, placement)
-                if cost < best - 1e-12:
-                    best = cost
+                if not (partners[h2p[a]] or partners[h2p[b]]):
+                    continue
+                delta = _exchange_delta(partners, dist, p2h, h2p, a, b)
+                if delta < 0:
+                    placement.apply_swap(a, b)
+                    best += delta
                     improved = True
-                else:
-                    placement.apply_swap(a, b)  # revert
         if not improved or best == 0:
             break
     return placement
@@ -361,6 +425,12 @@ def annealing_placement(
 
     Returns:
         The best placement visited.
+
+    Each step scores its proposed exchange by the exact integer change of
+    the objective (:func:`_exchange_delta`), in O(partners of the two
+    exchanged program qubits) instead of O(G) for re-summing ``G`` gates,
+    so the run costs O(steps * max partners) after the O(G) set-up.  The
+    acceptance test and its random draws are those of the full re-sum.
     """
     import math as _math
 
@@ -374,22 +444,22 @@ def annealing_placement(
         return best
     decay = (1e-3) ** (1.0 / steps)
     temperature = initial_temperature
+    partners = _partners(circuit, m)
+    dist = device.distance_matrix
+    p2h, h2p = placement._p2h, placement._h2p
 
     for _ in range(steps):
         a = rng.randrange(m)
         b = rng.randrange(m - 1)
         if b >= a:
             b += 1
-        placement.apply_swap(a, b)
-        cost = placement_cost(circuit, device, placement)
-        delta = cost - current_cost
+        delta = _exchange_delta(partners, dist, p2h, h2p, a, b)
         if delta <= 0 or rng.random() < _math.exp(-delta / max(temperature, 1e-9)):
-            current_cost = cost
-            if cost < best_cost:
-                best_cost = cost
+            placement.apply_swap(a, b)
+            current_cost += delta
+            if current_cost < best_cost:
+                best_cost = current_cost
                 best = placement.copy()
-        else:
-            placement.apply_swap(a, b)  # reject
         temperature *= decay
     return best
 
@@ -537,13 +607,14 @@ def exhaustive_placement(circuit: Circuit, device: Device) -> Placement:
             f"exhaustive placement over {space} injections is infeasible; "
             "use assignment_placement instead"
         )
+    pairs = circuit.interaction_pairs()
     best_placement = trivial_placement(circuit, device)
-    best = placement_cost(circuit, device, best_placement)
+    best = _pairs_cost(pairs, device, best_placement)
     for image in itertools.permutations(range(m), n):
         candidate = Placement.from_partial(
             dict(enumerate(image)), n, m
         )
-        cost = placement_cost(circuit, device, candidate)
+        cost = _pairs_cost(pairs, device, candidate)
         if cost < best:
             best, best_placement = cost, candidate
             if best == 0:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import Circuit
 from repro.core.pipeline import compile_circuit
+from repro.core.snapshot import placement_to_obj
 from repro.devices import get_device
+from repro.mapping.placement import Placement
 from repro.verify import equivalent_mapped
 from repro.workloads import ghz, qft, random_circuit
 
@@ -81,6 +83,60 @@ class TestOptions:
             circuit, s17, schedule="constraints", control_constraints=False
         )
         assert on.latency >= off.latency
+
+
+class TestPlacerValidation:
+    """Every placer result is checked before routing sees it."""
+
+    # name -> (placer result on Surface-17, message fragment)
+    BAD = {
+        "too_few_program": (
+            lambda: Placement.trivial(17, 3), "17 physical / 3 program"),
+        "too_few_slots": (
+            lambda: Placement.trivial(5), "5 physical / 5 program"),
+        "too_many_slots": (
+            lambda: Placement.trivial(20, 5), "20 physical / 5 program"),
+        "plain_list": (lambda: list(range(17)), "a list of length 17"),
+    }
+
+    @pytest.mark.parametrize("router", ["sabre", "astar", "naive"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_callable_placer_rejected(self, s17, case, router):
+        make, fragment = self.BAD[case]
+
+        def broken_placer(circuit, device):
+            return make()
+
+        circuit = random_circuit(5, 20, seed=1, two_qubit_fraction=0.6)
+        with pytest.raises(ValueError) as info:
+            compile_circuit(circuit, s17, placer=broken_placer, router=router)
+        message = str(info.value)
+        assert "'broken_placer'" in message
+        assert fragment in message
+        assert "expected a Placement of 17 physical / 5 program" in message
+
+    def test_bad_stage_cached_placement_rejected(self, s17):
+        class Store:
+            def load(self, stage, inputs, config):
+                if stage == "placement":
+                    return {"placement": placement_to_obj(Placement.trivial(5)),
+                            "placer": "assignment"}
+                return None
+
+            def store(self, stage, inputs, config, entry):
+                raise AssertionError("nothing may be stored")
+
+        circuit = random_circuit(5, 20, seed=1, two_qubit_fraction=0.6)
+        with pytest.raises(ValueError, match="placer 'assignment' returned "
+                           "a Placement of 5 physical / 5 program"):
+            compile_circuit(circuit, s17, stage_store=Store())
+
+    def test_good_placements_pass(self, s17):
+        circuit = random_circuit(5, 20, seed=1, two_qubit_fraction=0.6)
+        result = compile_circuit(
+            circuit, s17, placer=lambda c, d: Placement.trivial(17, 5)
+        )
+        assert result.routed.initial.num_program == 5
 
 
 class TestResultMetrics:
