@@ -543,9 +543,7 @@ def _cmd_bench(args, out) -> int:
         f"kernel: available={kernel['available']} "
         f"native_layers={kernel['native_layers']} "
         f"python_layers={kernel['python_layers']} "
-        f"batch_calls={kernel['batch_calls']} "
-        f"sabre_native={kernel['sabre_native_calls']} "
-        f"sabre_python={kernel['sabre_python_calls']}",
+        f"batch_calls={kernel['batch_calls']}",
         file=out,
     )
     if args.json_path:

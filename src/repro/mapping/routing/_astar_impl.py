@@ -43,7 +43,7 @@ import itertools
 from ...obs import add_counter
 from ...resilience.deadline import current_deadline
 from .base import RoutingError
-from ._astar_native import note_python_layer, solve_layer_native
+from ._astar_native import note_python_layer
 
 __all__ = ["solve_layer_packed"]
 
@@ -53,17 +53,19 @@ def solve_layer_packed(
     future_list,
     start_p2h,
     device,
-    dist,
     max_expansions: int,
 ) -> list[tuple[int, int]]:
     """A* search for a SWAP sequence making all ``pair_list`` adjacent.
+
+    The pure-Python reference of the native kernel: it runs when the
+    kernel is unavailable or declines a circuit, and tests compare the
+    two for byte-identity.
 
     Args:
         pair_list: ``(prog_a, prog_b)`` operand pairs of the layer gates.
         future_list: ``((prog_a, prog_b), weight)`` look-ahead entries.
         start_p2h: Program->physical array of the starting placement.
-        device: Target device (supplies edge structure).
-        dist: Distance matrix (hop counts for the stock router).
+        device: Target device (supplies edge structure and hop counts).
         max_expansions: Abort guard on A* node expansions.
 
     Returns:
@@ -73,9 +75,7 @@ def solve_layer_packed(
     n = device.num_qubits
     nbits = max(1, (n - 1).bit_length())
     mask = (1 << nbits) - 1
-    dflat = device.distance_flat if dist is device.distance_matrix else [
-        d for row in dist for d in row
-    ]
+    dflat = device.distance_flat
 
     edges = device.undirected_edge_list
     edge_xor = [pa ^ pb for pa, pb in edges]
@@ -126,21 +126,7 @@ def solve_layer_packed(
     for i, q in enumerate(active):
         key0 |= start_p2h[q] << (i * nbits)
 
-    # Compiled kernel first (same search, same tie-breaks, same floats);
-    # ``None`` means unavailable or unsupported — run the Python loop.
-    # The C kernel cannot poll the cooperative deadline, so a bounded
-    # search must take the Python loop, which checks every 256 expansions.
     deadline = current_deadline()
-    if deadline is None:
-        native = solve_layer_native(
-            n, nbits, active, pair_slots, future_slots, future_weights,
-            future_active, edges, dflat, [start_p2h[q] for q in active],
-            max_expansions,
-        )
-        if native is not None:
-            add_counter("astar.native_layers", 1)
-            add_counter("astar.swaps_emitted", len(native))
-            return native
 
     def pending_of(key: int) -> int:
         total = 0

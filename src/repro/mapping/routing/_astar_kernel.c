@@ -1,11 +1,11 @@
-/* Native mapping kernels: A* layer search + SABRE candidate scoring.
+/* Native A* routing kernel: every layer of a circuit in one call.
  *
- * Mirror of the pure-Python kernels in `_astar_impl.py` / `sabre.py`,
- * compiled on demand by `_astar_native.py` (plain `cc -O2 -shared`; no
- * build system, no third-party dependency).  The implementations must
- * stay semantically identical to their Python references: same search
- * state identity, same candidate enumeration order (ascending edge id
- * over the sorted undirected edge list), same `(priority, counter)`
+ * Mirror of the pure-Python layer search in `_astar_impl.py`, compiled
+ * on demand by `_astar_native.py` (plain `cc -O2 -shared`; no build
+ * system, no third-party dependency).  The implementation must stay
+ * semantically identical to its Python reference: same search state
+ * identity, same candidate enumeration order (ascending edge id over
+ * the sorted undirected edge list), same `(priority, counter)`
  * tie-breaking, and the same IEEE double arithmetic — every float
  * expression here matches the Python expression operation for
  * operation, so priorities are bit-identical and the search pops nodes
@@ -17,26 +17,27 @@
  * each *active* program-qubit slot into a multi-word bitset.  `nbits`
  * bits per slot, `spw = 64 / nbits` slots per 64-bit word (slots never
  * straddle a word boundary), `nwords = ceil(m / spw)` words per key.
- * This lifts the old single-word cap: devices are no longer limited to
- * 64 qubits, 64 edges, or `m * nbits <= 64` packed keys.
+ * Devices are not limited to 64 qubits, 64 edges, or `m * nbits <= 64`
+ * packed keys.
  *
- * Entry points:
- *   solve_layer        one A* layer search (preprocessed slot inputs)
- *   solve_layers_batch every layer of a circuit in one FFI crossing
- *                      (per-layer preprocessing + placement evolution
- *                      run natively; amortises ctypes marshalling)
- *   sabre_score_batch  score every candidate SWAP of one SABRE decision
- *                      via the _SwapScorer delta rule
+ * One entry point, `solve_layers_batch`: the per-layer preprocessing
+ * and the placement evolution between layers run natively, so a whole
+ * circuit costs one ctypes crossing.  It takes a relative time budget
+ * in seconds (`INFINITY` for none), turns it into a stop time on its
+ * own monotonic clock at entry, and checks that stop time before each
+ * layer and every 256th node expansion — the polling rate of the
+ * Python loop.
  *
- * Return codes (solve_layer / solve_layers_batch): >= 0 swap-sequence
- * length (total across layers for the batch), -1 search exhausted,
- * -2 expansion budget exceeded, -3 capacity/allocation failure (caller
- * falls back to the Python kernel).
+ * Return codes: >= 0 total swap-sequence length across layers, -1
+ * search exhausted, -2 expansion budget exceeded, -3 capacity or
+ * allocation failure (the caller falls back to the Python kernel), -4
+ * time budget exhausted.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef struct {
     double priority;
@@ -210,6 +211,13 @@ static int32_t map_find_or_add(Map *m, const uint64_t *key) {
     return idx;
 }
 
+/* Seconds on the monotonic clock (only differences are meaningful). */
+static double now_s(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
 /* ---- one A* layer search over multi-word packed states ---- */
 
 typedef struct {
@@ -246,6 +254,7 @@ static int64_t run_search(
     const Search *s,
     const uint64_t *key0,
     int64_t max_expansions,
+    double stop_s,
     int32_t *out_pa, int32_t *out_pb, int32_t max_out)
 {
     const int32_t n = s->n;
@@ -331,7 +340,11 @@ static int64_t run_search(
             rc = e.g;
             goto done;
         }
-        if (++expansions > max_expansions) {
+        if (!(++expansions & 0xFF) && now_s() >= stop_s) {
+            rc = -4;
+            goto done;
+        }
+        if (expansions > max_expansions) {
             rc = -2;
             goto done;
         }
@@ -460,67 +473,6 @@ static void build_qmask(
     }
 }
 
-/* ---- entry point: one preprocessed layer ---- */
-
-int64_t solve_layer(
-    int32_t n, int32_t nbits, int32_t m,
-    const int32_t *edge_pa, const int32_t *edge_pb, int32_t n_edges,
-    const int32_t *dflat,
-    const int32_t *pair_sa, const int32_t *pair_sb, int32_t n_pairs,
-    const int32_t *fut_sa, const int32_t *fut_sb, int32_t n_future,
-    const double *fut_w,
-    const uint8_t *future_active,
-    const int32_t *tf_idx, const int32_t *tf_start, /* tf_start: m+1 ints */
-    const int32_t *slot_pos,                        /* m physical positions */
-    int64_t max_expansions,
-    int32_t *out_pa, int32_t *out_pb, int32_t max_out)
-{
-    if (nbits <= 0 || nbits > 63 || m <= 0)
-        return -3;
-    int32_t spw = 64 / nbits;
-    int32_t nwords = (m + spw - 1) / spw;
-    int32_t ewords = (n_edges + 63) / 64;
-    if (ewords < 1)
-        ewords = 1;
-
-    int32_t *slot_word = (int32_t *)malloc((size_t)m * 2 * sizeof(int32_t));
-    uint64_t *qmask = (uint64_t *)malloc(
-        (size_t)n * ewords * sizeof(uint64_t));
-    uint64_t *key0 = (uint64_t *)calloc((size_t)nwords, sizeof(uint64_t));
-    if (!slot_word || !qmask || !key0) {
-        free(slot_word); free(qmask); free(key0);
-        return -3;
-    }
-    int32_t *slot_shift = slot_word + m;
-    for (int32_t i = 0; i < m; i++) {
-        slot_word[i] = i / spw;
-        slot_shift[i] = (i % spw) * nbits;
-        key0[slot_word[i]] |= (uint64_t)slot_pos[i] << slot_shift[i];
-    }
-    build_qmask(qmask, n, ewords, edge_pa, edge_pb, n_edges);
-
-    Search s;
-    s.n = n; s.nbits = nbits; s.m = m; s.nwords = nwords;
-    s.mask = (nbits == 63) ? 0x7FFFFFFFFFFFFFFFULL
-                           : (((uint64_t)1 << nbits) - 1);
-    s.n_edges = n_edges; s.ewords = ewords;
-    s.edge_pa = edge_pa; s.edge_pb = edge_pb;
-    s.dflat = dflat;
-    s.n_pairs = n_pairs; s.pair_sa = pair_sa; s.pair_sb = pair_sb;
-    s.n_future = n_future; s.fut_sa = fut_sa; s.fut_sb = fut_sb;
-    s.fut_w = fut_w;
-    s.future_active = future_active;
-    s.tf_idx = tf_idx; s.tf_start = tf_start;
-    s.qmask = qmask;
-    s.slot_word = slot_word; s.slot_shift = slot_shift;
-
-    int64_t rc = run_search(&s, key0, max_expansions, out_pa, out_pb, max_out);
-    free(slot_word);
-    free(qmask);
-    free(key0);
-    return rc;
-}
-
 /* ---- entry point: every layer of one circuit in a single crossing ----
  *
  * Inputs are CSR-concatenated per-layer gate lists over *program*
@@ -529,7 +481,8 @@ int64_t solve_layer(
  * layers run natively.  `p2h` is the full program->physical permutation
  * (dummies included, length n) and is updated in place as each layer's
  * SWAPs are applied — pass a copy.  `out_start` receives n_layers + 1
- * offsets into the output swap arrays.
+ * offsets into the output swap arrays.  `budget_s` is the time left, in
+ * seconds (`INFINITY`: no limit); once it is used up the call returns -4.
  */
 
 int64_t solve_layers_batch(
@@ -542,8 +495,10 @@ int64_t solve_layers_batch(
     const int32_t *fut_start,
     int32_t *p2h,
     int64_t max_expansions,
+    double budget_s,
     int32_t *out_pa, int32_t *out_pb, int32_t *out_start, int32_t max_out)
 {
+    const double stop_s = now_s() + budget_s;
     if (nbits <= 0 || nbits > 63 || n <= 0)
         return -3;
     int32_t spw = 64 / nbits;
@@ -604,6 +559,10 @@ int64_t solve_layers_batch(
         int32_t used = 0;
         out_start[0] = 0;
         for (int32_t l = 0; l < n_layers; l++) {
+            if (now_s() >= stop_s) {
+                total = -4;
+                goto cleanup;
+            }
             int32_t p0 = pair_start[l], p1 = pair_start[l + 1];
             int32_t f0 = fut_start[l], f1 = fut_start[l + 1];
             int32_t n_pairs = p1 - p0;
@@ -679,7 +638,7 @@ int64_t solve_layers_batch(
             s.qmask = qmask;
             s.slot_word = slot_word; s.slot_shift = slot_shift;
 
-            int64_t rc = run_search(&s, key0, max_expansions,
+            int64_t rc = run_search(&s, key0, max_expansions, stop_s,
                                     out_pa + used, out_pb + used,
                                     max_out - used);
             if (rc < 0) {
@@ -708,91 +667,4 @@ cleanup:
     free(markq); free(pair_sa); free(fut_sa); free(future_active);
     free(tf_idx); free(tf_start); free(tf_cur); free(slot_pos); free(key0);
     return total;
-}
-
-/* ---- entry point: SABRE candidate scoring (mirror of _SwapScorer) ----
- *
- * Scores every candidate SWAP of one routing decision via the delta
- * rule: only the gates with an operand on the swapped physical qubits
- * are re-evaluated; everything else reuses the cached base sums.  The
- * accumulation order matches the Python scorer exactly — the entries
- * touching `pa` in index order, then those touching `pb` (skipping the
- * ones already seen via `pa`) — so the result is bit-identical for
- * integer *and* float distance matrices.
- *
- * Returns 0 on success, -3 on allocation failure (caller falls back to
- * the Python scorer).
- */
-
-int32_t sabre_score_batch(
-    const int32_t *ent_qa, const int32_t *ent_qb, const uint8_t *ent_front,
-    int32_t n_entries,
-    const double *dist, int32_t n,
-    double front_base, double front_n,
-    double ext_base, int32_t ext_n, double weight,
-    const int32_t *cand_pa, const int32_t *cand_pb, int32_t n_cand,
-    double *out)
-{
-    /* by_phys CSR: entry indices per physical qubit, in index order
-     * (counting sort over the entry list preserves it). */
-    int32_t *start = (int32_t *)calloc((size_t)n + 1, sizeof(int32_t));
-    int32_t *cur = (int32_t *)malloc(((size_t)n + 1) * sizeof(int32_t));
-    int32_t *idx = (int32_t *)malloc(
-        (size_t)(n_entries > 0 ? 2 * n_entries : 1) * sizeof(int32_t));
-    if (!start || !cur || !idx) {
-        free(start); free(cur); free(idx);
-        return -3;
-    }
-    for (int32_t i = 0; i < n_entries; i++) {
-        start[ent_qa[i] + 1]++;
-        if (ent_qb[i] != ent_qa[i])
-            start[ent_qb[i] + 1]++;
-    }
-    for (int32_t q = 0; q < n; q++)
-        start[q + 1] += start[q];
-    memcpy(cur, start, ((size_t)n + 1) * sizeof(int32_t));
-    for (int32_t i = 0; i < n_entries; i++) {
-        idx[cur[ent_qa[i]]++] = i;
-        if (ent_qb[i] != ent_qa[i])
-            idx[cur[ent_qb[i]]++] = i;
-    }
-
-    for (int32_t c = 0; c < n_cand; c++) {
-        int32_t pa = cand_pa[c];
-        int32_t pb = cand_pb[c];
-        double d_front = 0.0;
-        double d_ext = 0.0;
-        for (int32_t t = start[pa]; t < start[pa + 1]; t++) {
-            int32_t i = idx[t];
-            int32_t qa = ent_qa[i], qb = ent_qb[i];
-            int32_t na = (qa == pa) ? pb : ((qa == pb) ? pa : qa);
-            int32_t nb = (qb == pa) ? pb : ((qb == pb) ? pa : qb);
-            double delta = dist[(size_t)na * n + nb] - dist[(size_t)qa * n + qb];
-            if (ent_front[i])
-                d_front += delta;
-            else
-                d_ext += delta;
-        }
-        for (int32_t t = start[pb]; t < start[pb + 1]; t++) {
-            int32_t i = idx[t];
-            int32_t qa = ent_qa[i], qb = ent_qb[i];
-            if (qa == pa || qb == pa)
-                continue; /* already seen via pa */
-            int32_t na = (qa == pa) ? pb : ((qa == pb) ? pa : qa);
-            int32_t nb = (qb == pa) ? pb : ((qb == pb) ? pa : qb);
-            double delta = dist[(size_t)na * n + nb] - dist[(size_t)qa * n + qb];
-            if (ent_front[i])
-                d_front += delta;
-            else
-                d_ext += delta;
-        }
-        double score = (front_base + d_front) / front_n;
-        if (ext_n)
-            score += weight * (ext_base + d_ext) / ext_n;
-        out[c] = score;
-    }
-    free(start);
-    free(cur);
-    free(idx);
-    return 0;
 }

@@ -1,45 +1,44 @@
-"""On-demand compilation and invocation of the native routing kernels.
+"""On-demand compilation and invocation of the native A* routing kernel.
 
 Compiles ``_astar_kernel.c`` with the system C compiler the first time
 a router needs it, caching the shared object under the user's temp
 directory keyed by a hash of the source.  Everything is best-effort: no
 compiler, a failed build, or any marshalling surprise simply returns
-``None`` and the caller falls back to the pure-Python kernels, which are
-the reference implementations.  The native kernels replicate the Python
+``None`` and the caller falls back to the pure-Python kernel, which is
+the reference implementation.  The native kernel replicates the Python
 code operation for operation (see the header comment of the C file), so
-the two produce identical outputs — SWAP sequences and scores alike.
+the two produce identical SWAP sequences.
 
-Three entry points are exposed:
-
-* :func:`solve_layer_native` — one A* layer search (multi-word bitset
-  states: no limit on qubits, edges, or active slots beyond memory);
-* :func:`solve_layers_batch_native` — every layer of a circuit in a
-  single FFI crossing, with the per-layer preprocessing and the
-  placement evolution run natively (amortises ctypes marshalling);
-* :func:`sabre_scores_native` — all candidate-SWAP scores of one SABRE
-  routing decision via the C port of the ``_SwapScorer`` delta rule.
+One entry point is exposed, :func:`solve_layers_batch_native`: every
+layer of a circuit in a single FFI crossing, with the per-layer
+preprocessing and the placement evolution run natively.  It honours a
+cooperative :class:`~repro.resilience.deadline.Deadline`: the kernel
+gets the time left and returns ``-4`` once it is used up, which surfaces
+as :class:`~repro.resilience.deadline.DeadlineExceeded`.  The other
+return codes are ``-1`` (search exhausted) and ``-2`` (expansion budget
+exceeded), both :class:`RoutingError`, and ``-3`` (capacity or
+allocation failure), which falls back to the Python kernel.
 
 Set the environment variable ``REPRO_NO_NATIVE=1`` to disable the
-native path (useful to benchmark or debug the Python kernels).
+native path (useful to benchmark or debug the Python kernel).
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import tempfile
 
+from ...resilience.deadline import Deadline
 from .base import RoutingError
 
 __all__ = [
-    "dist_buffer",
     "kernel_stats",
     "note_python_layer",
-    "sabre_scores_native",
-    "solve_layer_native",
     "solve_layers_batch_native",
     "warm_kernel",
 ]
@@ -57,21 +56,17 @@ _lib_resolved = False
 _build_calls = 0
 
 #: Per-process kernel usage counters (see :func:`kernel_stats`): layers
-#: solved natively vs. by the Python reference loop, batch crossings,
-#: and SABRE scoring calls per path.  Tests take deltas of these to
-#: assert the native path is genuinely exercised, not just available.
+#: solved natively vs. by the Python reference loop, and batch
+#: crossings.  Tests take deltas of these to assert the native path is
+#: genuinely exercised, not just available.
 _native_layers = 0
 _python_layers = 0
 _batch_calls = 0
-_sabre_native_calls = 0
-_sabre_python_calls = 0
 
 
 def _build_library():
     """Compile and load the kernel; return a CDLL or None."""
     global _build_calls
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return None
     _build_calls += 1
     compiler = (
         os.environ.get("CC")
@@ -107,21 +102,6 @@ def _build_library():
     i32 = ctypes.c_int32
     p32 = ctypes.POINTER(i32)
     pdbl = ctypes.POINTER(ctypes.c_double)
-    pu8 = ctypes.POINTER(ctypes.c_uint8)
-    lib.solve_layer.restype = ctypes.c_int64
-    lib.solve_layer.argtypes = [
-        i32, i32, i32,          # n, nbits, m
-        p32, p32, i32,          # edges
-        p32,                    # dflat
-        p32, p32, i32,          # pair slots
-        p32, p32, i32,          # future slots
-        pdbl,                   # future weights
-        pu8,                    # future_active
-        p32, p32,               # tf_idx, tf_start
-        p32,                    # slot_pos (m physical positions)
-        ctypes.c_int64,         # max_expansions
-        p32, p32, i32,          # out buffers
-    ]
     lib.solve_layers_batch.restype = ctypes.c_int64
     lib.solve_layers_batch.argtypes = [
         i32, i32,               # n, nbits
@@ -132,26 +112,27 @@ def _build_library():
         p32, p32, pdbl, p32,    # fut_a, fut_b, fut_w, fut_start
         p32,                    # p2h (updated in place)
         ctypes.c_int64,         # max_expansions
+        ctypes.c_double,        # budget_s (inf: no deadline)
         p32, p32, p32, i32,     # out_pa, out_pb, out_start, max_out
-    ]
-    lib.sabre_score_batch.restype = i32
-    lib.sabre_score_batch.argtypes = [
-        p32, p32, pu8, i32,     # entries qa, qb, is_front
-        pdbl, i32,              # dist (n*n doubles), n
-        ctypes.c_double, ctypes.c_double,  # front_base, front_n
-        ctypes.c_double, i32, ctypes.c_double,  # ext_base, ext_n, weight
-        p32, p32, i32,          # candidates
-        pdbl,                   # out scores
     ]
     return lib
 
 
 def _get_lib():
+    # The opt-out is read on every call, not only at the first build: a
+    # worker forked from a process that had loaded the kernel inherits
+    # the loaded library.
     global _lib, _lib_resolved
+    if _disabled():
+        return None
     if not _lib_resolved:
         _lib = _build_library()
         _lib_resolved = True
     return _lib
+
+
+def _disabled() -> bool:
+    return bool(os.environ.get("REPRO_NO_NATIVE"))
 
 
 def warm_kernel() -> bool:
@@ -169,22 +150,19 @@ def kernel_stats() -> dict:
 
     ``build_calls`` counts trips through the expensive build-or-dlopen
     path; ``resolved`` says the tri-state was settled (either way);
-    ``available`` says the native kernel is loaded and usable.  The
+    ``available`` says the native kernel is loaded and not disabled.  The
     remaining keys count actual kernel usage: A* layers solved natively
-    (including those inside batch crossings) vs. by the Python reference
-    loop, whole-circuit batch calls, and SABRE scoring decisions per
-    path.  Pool workers ship these to the parent so services can report
-    how much routing work ran on the native path.
+    vs. by the Python reference loop, and whole-circuit batch calls.
+    Pool workers ship these to the parent so services can report how
+    much routing work ran on the native path.
     """
     return {
         "resolved": _lib_resolved,
-        "available": _lib is not None,
+        "available": _lib is not None and not _disabled(),
         "build_calls": _build_calls,
         "native_layers": _native_layers,
         "python_layers": _python_layers,
         "batch_calls": _batch_calls,
-        "sabre_native_calls": _sabre_native_calls,
-        "sabre_python_calls": _sabre_python_calls,
     }
 
 
@@ -194,106 +172,9 @@ def note_python_layer() -> None:
     _python_layers += 1
 
 
-def _note_sabre_python() -> None:
-    global _sabre_python_calls
-    _sabre_python_calls += 1
-
-
 _MAX_SEQUENCE = 4096
 
 _i32 = ctypes.c_int32
-
-
-def _touch_csr(future_slots, m):
-    """Per-slot future-gate touch lists, flattened (CSR layout)."""
-    touch: list[list[int]] = [[] for _ in range(m)]
-    for i, (sa, sb) in enumerate(future_slots):
-        touch[sa].append(i)
-        if sb != sa:
-            touch[sb].append(i)
-    tf_start_list = [0]
-    tf_idx_list: list[int] = []
-    for slot_touch in touch:
-        tf_idx_list.extend(slot_touch)
-        tf_start_list.append(len(tf_idx_list))
-    tf_idx = (_i32 * max(len(tf_idx_list), 1))(*tf_idx_list)
-    tf_start = (_i32 * (m + 1))(*tf_start_list)
-    return tf_idx, tf_start
-
-
-def solve_layer_native(
-    n: int,
-    nbits: int,
-    active: list[int],
-    pair_slots,
-    future_slots,
-    future_weights,
-    future_active,
-    edges,
-    dflat,
-    slot_pos,
-    max_expansions: int,
-):
-    """Run the compiled kernel; ``None`` means "use the Python path".
-
-    Arguments mirror the preprocessed state of
-    :func:`._astar_impl.solve_layer_packed` (slots index the ``active``
-    list; ``slot_pos`` holds each active slot's physical position).
-    Raises :class:`RoutingError` for genuine search failures so
-    behaviour matches the Python kernel exactly.
-    """
-    global _native_layers
-    m = len(active)
-    if m == 0:
-        return None
-    lib = _get_lib()
-    if lib is None:
-        return None
-    if not all(type(d) is int for d in dflat):
-        return None
-
-    n_pairs = len(pair_slots)
-    n_future = len(future_slots)
-    edge_pa = (_i32 * len(edges))(*[e[0] for e in edges])
-    edge_pb = (_i32 * len(edges))(*[e[1] for e in edges])
-    c_dflat = (_i32 * len(dflat))(*dflat)
-    pair_sa = (_i32 * max(n_pairs, 1))(*[p[0] for p in pair_slots])
-    pair_sb = (_i32 * max(n_pairs, 1))(*[p[1] for p in pair_slots])
-    fut_sa = (_i32 * max(n_future, 1))(*[p[0] for p in future_slots])
-    fut_sb = (_i32 * max(n_future, 1))(*[p[1] for p in future_slots])
-    fut_w = (ctypes.c_double * max(n_future, 1))(*future_weights)
-    c_active = (ctypes.c_uint8 * m)(
-        *[1 if s in future_active else 0 for s in range(m)]
-    )
-    tf_idx, tf_start = _touch_csr(future_slots, m)
-    c_slot_pos = (_i32 * m)(*slot_pos)
-    out_pa = (_i32 * _MAX_SEQUENCE)()
-    out_pb = (_i32 * _MAX_SEQUENCE)()
-
-    rc = lib.solve_layer(
-        n, nbits, m,
-        edge_pa, edge_pb, len(edges),
-        c_dflat,
-        pair_sa, pair_sb, n_pairs,
-        fut_sa, fut_sb, n_future,
-        fut_w,
-        c_active,
-        tf_idx, tf_start,
-        c_slot_pos,
-        max_expansions,
-        out_pa, out_pb, _MAX_SEQUENCE,
-    )
-    if rc == -3:
-        return None  # capacity issue: fall back to the Python kernel
-    if rc == -2:
-        raise RoutingError(
-            f"A* expanded more than {max_expansions} placements on one "
-            "layer; instance too large for layer-exact search"
-        )
-    if rc == -1:
-        raise RoutingError("A* search exhausted without satisfying the layer")
-    _native_layers += 1
-    return [(out_pa[i], out_pb[i]) for i in range(rc)]
 
 
 def solve_layers_batch_native(
@@ -305,6 +186,7 @@ def solve_layers_batch_native(
     layer_futures,
     p2h,
     max_expansions: int,
+    deadline: Deadline | None = None,
 ):
     """Route every layer of one circuit in a single native crossing.
 
@@ -318,12 +200,16 @@ def solve_layers_batch_native(
         p2h: Full program->physical permutation of the *starting*
             placement (length ``n``, dummies included); not mutated.
         max_expansions: Per-layer A* expansion budget.
+        deadline: Cooperative deadline; the kernel gets the time left
+            and polls it before each layer and every 256 expansions.
 
     Returns:
         A per-layer list of SWAP sequences, or ``None`` when the native
-        path is unavailable (caller runs the per-layer kernels instead).
+        path is unavailable (caller runs the Python kernel instead).
         Raises :class:`RoutingError` on genuine search failures, exactly
-        like the Python kernel would on the offending layer.
+        like the Python kernel would on the offending layer, and
+        :class:`~repro.resilience.deadline.DeadlineExceeded` when the
+        deadline passes mid-search (never retried in Python).
     """
     global _native_layers, _batch_calls
     lib = _get_lib()
@@ -378,10 +264,13 @@ def solve_layers_batch_native(
         c_fut_a, c_fut_b, c_fut_w, c_fut_start,
         c_p2h,
         max_expansions,
+        math.inf if deadline is None else deadline.remaining(),
         out_pa, out_pb, out_start, max_out,
     )
+    if rc == -4:
+        raise deadline.exceeded("astar routing")
     if rc == -3:
-        return None  # capacity issue: fall back to the Python kernels
+        return None  # capacity issue: fall back to the Python kernel
     if rc == -2:
         raise RoutingError(
             f"A* expanded more than {max_expansions} placements on one "
@@ -395,68 +284,3 @@ def solve_layers_batch_native(
         [(out_pa[i], out_pb[i]) for i in range(out_start[l], out_start[l + 1])]
         for l in range(n_layers)
     ]
-
-
-def dist_buffer(dist, n: int):
-    """Flatten a distance matrix into a C double buffer, or ``None``.
-
-    Built once per routing call and reused across every scoring decision
-    (the O(n^2) copy would otherwise dominate on large devices).  Returns
-    ``None`` when the native kernel is unavailable so callers can skip
-    the work entirely.
-    """
-    if _get_lib() is None:
-        return None
-    try:
-        return (ctypes.c_double * (n * n))(
-            *[float(d) for row in dist for d in row]
-        )
-    except (TypeError, ValueError):
-        return None
-
-
-def sabre_scores_native(
-    entries,
-    c_dist,
-    n: int,
-    front_base,
-    front_n: int,
-    ext_base,
-    ext_n: int,
-    weight: float,
-    candidates,
-):
-    """Score all candidate SWAPs of one SABRE decision, or ``None``.
-
-    Mirrors ``_SwapScorer.score`` over every candidate: ``entries`` are
-    the scorer's ``(phys_a, phys_b, is_front)`` tuples, the base sums
-    and set sizes are the scorer's cached values, and ``c_dist`` is the
-    :func:`dist_buffer` of the routing call.  Bit-identical to the
-    Python delta loop (same accumulation order, same expression shapes).
-    """
-    global _sabre_native_calls
-    lib = _get_lib()
-    if lib is None or c_dist is None:
-        return None
-    n_entries = len(entries)
-    ent_qa = (_i32 * max(n_entries, 1))(*[e[0] for e in entries])
-    ent_qb = (_i32 * max(n_entries, 1))(*[e[1] for e in entries])
-    ent_front = (ctypes.c_uint8 * max(n_entries, 1))(
-        *[1 if e[2] else 0 for e in entries]
-    )
-    n_cand = len(candidates)
-    cand_pa = (_i32 * max(n_cand, 1))(*[c[0] for c in candidates])
-    cand_pb = (_i32 * max(n_cand, 1))(*[c[1] for c in candidates])
-    out = (ctypes.c_double * max(n_cand, 1))()
-    rc = lib.sabre_score_batch(
-        ent_qa, ent_qb, ent_front, n_entries,
-        c_dist, n,
-        float(front_base), float(front_n),
-        float(ext_base), ext_n, float(weight),
-        cand_pa, cand_pb, n_cand,
-        out,
-    )
-    if rc != 0:
-        return None
-    _sabre_native_calls += 1
-    return list(out[:n_cand])

@@ -60,7 +60,6 @@ def route_astar(
     initial = current.copy()
     dag = DependencyGraph(circuit)
     layers = dag.two_qubit_layers()
-    dist = device.distance_matrix
 
     for gate in circuit.gates:
         if len(gate.qubits) > 2:
@@ -82,14 +81,13 @@ def route_astar(
         all_future.append(future)
 
     # Solve each layer's SWAP sequence against the evolving placement.
-    # With no cooperative deadline to poll, the batch kernel routes every
-    # layer in a single FFI crossing (the per-layer preprocessing and the
-    # placement evolution run natively); otherwise — or when the native
-    # path is unavailable — fall back to the per-layer kernels, which
-    # produce byte-identical sequences.
+    # The native kernel routes every layer in a single FFI crossing (the
+    # per-layer preprocessing and the placement evolution run natively)
+    # and polls the deadline itself; when it is unavailable, the Python
+    # kernel solves layer by layer, with byte-identical sequences.
     deadline = current_deadline()
     batched = None
-    if deadline is None and layers:
+    if layers:
         batched = solve_layers_batch_native(
             device.num_qubits,
             max(1, (device.num_qubits - 1).bit_length()),
@@ -99,6 +97,7 @@ def route_astar(
             all_future,
             current.key(),
             _MAX_EXPANSIONS,
+            deadline,
         )
     if batched is not None:
         layer_swaps = [list(seq) for seq in batched]
@@ -113,8 +112,7 @@ def route_astar(
             if deadline is not None:
                 deadline.check("astar routing")
             swap_seq = _solve_layer(
-                all_pairs[layer_pos], all_future[layer_pos], current, device,
-                dist,
+                all_pairs[layer_pos], all_future[layer_pos], current, device
             )
             for pa, pb in swap_seq:
                 current.apply_swap(pa, pb)
@@ -196,7 +194,6 @@ def _solve_layer(
     future,
     start: Placement,
     device: Device,
-    dist,
 ) -> list[tuple[int, int]]:
     """A* search for a SWAP sequence making all ``pairs`` adjacent.
 
@@ -210,5 +207,5 @@ def _solve_layer(
     sequence — at a fraction of the per-node cost.
     """
     return solve_layer_packed(
-        list(pairs), list(future), start.key(), device, dist, _MAX_EXPANSIONS
+        list(pairs), list(future), start.key(), device, _MAX_EXPANSIONS
     )

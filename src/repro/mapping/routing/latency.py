@@ -28,7 +28,6 @@ from ...devices.device import Device
 from ..placement import Placement
 from .base import RoutingError, RoutingResult, device_path
 from .sabre import _SwapScorer, _candidate_swaps, _extended_set
-from ._astar_native import dist_buffer
 
 __all__ = ["route_latency"]
 
@@ -102,10 +101,6 @@ def route_latency(
             if all(p in done for p in dag.predecessors(succ)):
                 front.add(succ)
 
-    # Flattened distance buffer for the native scorer, built once per
-    # routing call (None when the native kernel is unavailable).
-    c_dist = dist_buffer(dist, device.num_qubits)
-
     while front:
         progressed = True
         while progressed:
@@ -125,11 +120,11 @@ def route_latency(
             raise RoutingError("no candidate swaps; is the device connected?")
 
         scorer = _SwapScorer(
-            blocked, extended, dag, current, dist, extended_weight,
-            c_dist=c_dist,
+            blocked, extended, dag, current, dist, extended_weight
         )
         best_swap, best_key = None, None
-        for (pa, pb), dist_score in zip(candidates, scorer.scores(candidates)):
+        for pa, pb in candidates:
+            dist_score = scorer.score(pa, pb)
             # Looking-back: when could this SWAP start, given the gates
             # already scheduled on its qubits?
             start_delay = max(avail[pa], avail[pb])

@@ -31,7 +31,6 @@ from ...obs import add_counter
 from ...resilience.deadline import current_deadline
 from ..placement import Placement
 from .base import RoutingError, RoutingResult, device_path
-from ._astar_native import _note_sabre_python, dist_buffer, sabre_scores_native
 
 __all__ = ["route_sabre"]
 
@@ -113,10 +112,6 @@ def route_sabre(
             if all(p in done for p in dag.predecessors(succ)):
                 front.add(succ)
 
-    # Flattened distance buffer for the native scorer, built once per
-    # routing call (None when the native kernel is unavailable).
-    c_dist = dist_buffer(dist, device.num_qubits)
-
     deadline = current_deadline()
     while front:
         # Cooperative deadline poll: one decision per iteration, so the
@@ -141,12 +136,12 @@ def route_sabre(
             raise RoutingError("no candidate swaps; is the device connected?")
 
         scorer = _SwapScorer(
-            blocked, extended, dag, current, dist, extended_weight,
-            c_dist=c_dist,
+            blocked, extended, dag, current, dist, extended_weight
         )
         candidates_scored += len(candidates)
         best_swap, best_score = None, None
-        for (pa, pb), score in zip(candidates, scorer.scores(candidates)):
+        for pa, pb in candidates:
+            score = scorer.score(pa, pb)
             if swap_penalty is not None:
                 score += swap_penalty(pa, pb)
             if use_decay:
@@ -247,7 +242,7 @@ class _SwapScorer:
     """
 
     __slots__ = ("_entries", "_by_phys", "_front_base", "_front_n", "_ext_base",
-                 "_ext_n", "_weight", "_dist", "_c_dist")
+                 "_ext_n", "_weight", "_dist")
 
     def __init__(
         self,
@@ -257,8 +252,6 @@ class _SwapScorer:
         placement: Placement,
         dist,
         extended_weight: float,
-        *,
-        c_dist=None,
     ) -> None:
         entries: list[tuple[int, int, bool]] = []
         for gate in blocked:
@@ -289,7 +282,6 @@ class _SwapScorer:
         self._ext_n = len(extended)
         self._weight = extended_weight
         self._dist = dist
-        self._c_dist = c_dist
 
     def deltas(self, pa: int, pb: int):
         """Change of the (front, extended) distance sums under the SWAP."""
@@ -320,31 +312,6 @@ class _SwapScorer:
         if self._ext_n:
             score += self._weight * (self._ext_base + d_ext) / self._ext_n
         return score
-
-    def scores(self, candidates) -> list[float]:
-        """One base score per candidate SWAP, in ``candidates`` order.
-
-        Uses the C delta scorer when the routing call supplied a
-        ``c_dist`` buffer and the kernel is available; the per-candidate
-        Python loop otherwise.  Both paths are bit-identical — same
-        delta rule, same accumulation order, same expression shapes.
-        """
-        if self._c_dist is not None:
-            native = sabre_scores_native(
-                self._entries,
-                self._c_dist,
-                len(self._dist),
-                self._front_base,
-                self._front_n,
-                self._ext_base,
-                self._ext_n,
-                self._weight,
-                candidates,
-            )
-            if native is not None:
-                return native
-        _note_sabre_python()
-        return [self.score(pa, pb) for pa, pb in candidates]
 
 
 def _score(

@@ -172,8 +172,6 @@ _KERNEL_COUNTERS = (
     "native_layers",
     "python_layers",
     "batch_calls",
-    "sabre_native_calls",
-    "sabre_python_calls",
 )
 
 

@@ -71,10 +71,15 @@ class Deadline:
     def check(self, where: str = "") -> None:
         """Raise :class:`DeadlineExceeded` if the deadline has passed."""
         if self.expired():
-            budget = f"{self.budget}s budget" if self.budget is not None \
-                else "deadline"
-            suffix = f" in {where}" if where else ""
-            raise DeadlineExceeded(f"exceeded the {budget}{suffix}")
+            raise self.exceeded(where)
+
+    def exceeded(self, where: str = "") -> DeadlineExceeded:
+        """The error :meth:`check` raises, for a search that polled the
+        deadline itself (the native A* kernel, on its own clock)."""
+        budget = f"{self.budget}s budget" if self.budget is not None \
+            else "deadline"
+        suffix = f" in {where}" if where else ""
+        return DeadlineExceeded(f"exceeded the {budget}{suffix}")
 
     def to_dict(self) -> dict:
         """JSON/pickle-able form (absolute monotonic instant)."""

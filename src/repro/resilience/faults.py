@@ -54,8 +54,8 @@ KNOWN_STAGES = (
     "direction-fix", "optimize", "verify", "schedule", "artifact",
 )
 
-#: Exit code of a ``crash`` fault (distinct from the legacy test hook's
-#: 13 so traces can tell them apart).
+#: Exit code of a ``crash`` fault (distinct from common error exits so
+#: traces can tell an injected crash from a real one).
 CRASH_EXIT_CODE = 23
 
 #: Default sleep of a ``hang`` fault — far past any sane job budget.

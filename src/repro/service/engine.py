@@ -92,10 +92,7 @@ def run_payload(
 ) -> dict:
     """Compile one job payload; always returns, never raises.
 
-    Module-level so pool workers can import it by name.  The
-    ``__test_hook__`` metadata key is an internal testing aid: ``crash``
-    kills the worker process (exercising the retry path) and
-    ``sleep:<seconds>`` delays the compile (exercising timeouts).
+    Module-level so pool workers can import it by name.
 
     Resilience keys the engine may add to a payload:
 
@@ -133,12 +130,6 @@ def run_payload(
             to absorb.
     """
     started_mono = time.monotonic()
-    hook = payload.get("metadata", {}).get("__test_hook__", "")
-    if hook == "crash":
-        os._exit(13)
-    if hook.startswith("sleep:"):
-        time.sleep(float(hook.split(":", 1)[1]))
-
     plan = None
     if payload.get("faults"):
         plan = FaultPlan.from_dict(payload["faults"])
@@ -286,9 +277,6 @@ class CompileService:
             chain instead of being killed.
         fault_plan: A :class:`FaultPlan` injected into every batch
             (testing/chaos runs; ``None``: no faults).
-        preload_native: Have pool workers resolve the native A* kernel
-            in their initializer (default on; moot under
-            ``REPRO_NO_NATIVE``).
         stage_cache: Probe and populate the cache's per-stage entries
             (placement / routing / lower / schedule) on full-key misses,
             so e.g. a router sweep re-keys only the stages downstream of
@@ -314,7 +302,6 @@ class CompileService:
         default_timeout: float | None = None,
         default_deadline: float | None = None,
         fault_plan: FaultPlan | None = None,
-        preload_native: bool = True,
         stage_cache: bool = True,
     ) -> None:
         self.cache = CompileCache() if cache is _DEFAULT_CACHE else cache
@@ -323,7 +310,6 @@ class CompileService:
         self.default_timeout = default_timeout
         self.default_deadline = default_deadline
         self.fault_plan = fault_plan
-        self.preload_native = preload_native
         self.stage_cache = bool(stage_cache)
         self._pool: WarmPool | None = None
         self._pool_lock = threading.Lock()
@@ -338,7 +324,7 @@ class CompileService:
     def _ensure_pool(self) -> WarmPool:
         with self._pool_lock:
             if self._pool is None or self._pool.closed:
-                self._pool = WarmPool(preload_native=self.preload_native)
+                self._pool = WarmPool()
                 self._counters["pools_created"] += 1
             else:
                 self._counters["pool_reuse_batches"] += 1
@@ -523,22 +509,16 @@ class CompileService:
                 pending.append(i)
 
         if pending:
-            # Pool placement: crash/hang fault plans (and the legacy
-            # test hooks that simulate them) must never run in this
-            # process, and real parallelism needs more than one pending
-            # job.  A single-job batch runs inline — spawning a worker
-            # for it buys nothing — with any hard timeout applied as a
-            # *cooperative* deadline (the compile degrades through the
-            # fallback chain instead of being abandoned; only a pool can
-            # kill a truly hung worker, and hangs come from lethal
-            # plans/hooks, which still force the pool).
+            # Pool placement: crash/hang fault plans must never run in
+            # this process, and real parallelism needs more than one
+            # pending job.  A single-job batch runs inline — spawning a
+            # worker for it buys nothing — with any hard timeout applied
+            # as a *cooperative* deadline (the compile degrades through
+            # the fallback chain instead of being abandoned; only a pool
+            # can kill a truly hung worker, and hangs come from lethal
+            # plans, which still force the pool).
             lethal = plan is not None and plan.has_action("crash", "hang")
-            hooks = any(
-                "__test_hook__" in jobs[i].metadata for i in pending
-            )
-            needs_pool = lethal or (
-                workers > 1 and (hooks or len(pending) > 1)
-            )
+            needs_pool = lethal or (workers > 1 and len(pending) > 1)
             if not needs_pool:
                 trace = current_tracer().enabled
                 inline_store = self._stage_store(plan)

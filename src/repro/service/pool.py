@@ -57,7 +57,7 @@ def _pool_context():
     )
 
 
-def _worker_main(worker_id: int, task_queue, out_queue, preload_native):
+def _worker_main(worker_id: int, task_queue, out_queue):
     """Worker loop: preload once, then compile chunks until told to stop.
 
     The ``ready`` event carries the preload report; each job produces a
@@ -70,9 +70,7 @@ def _worker_main(worker_id: int, task_queue, out_queue, preload_native):
 
     builds_before = _astar_native.kernel_stats()["build_calls"]
     t0 = time.perf_counter()
-    native_preloaded = False
-    if preload_native and not os.environ.get("REPRO_NO_NATIVE"):
-        native_preloaded = _astar_native.warm_kernel()
+    native_preloaded = _astar_native.warm_kernel()
     # Pull the heavy imports (device library, pipeline, parser) into
     # this process now, not on the first job's critical path.
     from ..devices import device as _device  # noqa: F401
@@ -91,8 +89,6 @@ def _worker_main(worker_id: int, task_queue, out_queue, preload_native):
             "native_layers": stats["native_layers"],
             "python_layers": stats["python_layers"],
             "batch_calls": stats["batch_calls"],
-            "sabre_native_calls": stats["sabre_native_calls"],
-            "sabre_python_calls": stats["sabre_python_calls"],
             "preload_s": round(time.perf_counter() - t0, 6),
             "jobs_run": jobs_run,
         }
@@ -179,10 +175,10 @@ def _terminate_workers(workers: dict) -> None:
 class WarmPool:
     """Long-lived compile workers shared across batches.
 
+    Each worker resolves the native A* kernel in its initializer
+    (a no-op under ``REPRO_NO_NATIVE``).
+
     Args:
-        preload_native: Have each worker resolve the native A* kernel in
-            its initializer (skipped automatically when
-            ``REPRO_NO_NATIVE`` is set).
         context: A ``multiprocessing`` context override (tests); default
             fork where available, else spawn.
 
@@ -191,9 +187,8 @@ class WarmPool:
     workers stick around for the next batch.
     """
 
-    def __init__(self, *, preload_native: bool = True, context=None) -> None:
+    def __init__(self, *, context=None) -> None:
         self._ctx = context or _pool_context()
-        self._preload_native = preload_native
         self._workers: dict[int, _Worker] = {}
         self._next_id = 0
         self.counters: Counter = Counter()
@@ -225,7 +220,7 @@ class WarmPool:
             events = self._ctx.SimpleQueue()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(wid, tasks, events, self._preload_native),
+                args=(wid, tasks, events),
                 name=f"repro-pool-{wid}",
                 daemon=True,
             )

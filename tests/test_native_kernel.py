@@ -1,25 +1,26 @@
-"""Large-device tests for the multi-word native routing kernels.
+"""Large-device tests for the multi-word native A* kernel.
 
 The original C kernel packed one search state into a single 64-bit word,
 refusing any device with more than 64 qubits (or edges).  These tests
 pin the lifted cap: fixed-seed circuits on 80-119-qubit grid and
 heavy-hex devices must (a) actually take the native path — asserted via
-``kernel_stats()`` counter deltas, not just availability — and (b)
-produce byte-identical output to the pure-Python reference kernels.
+``kernel_stats()`` counter deltas, not just availability — with or
+without a cooperative deadline, and (b) produce byte-identical output
+to the pure-Python reference kernel.
 
 The Python reference is obtained in-process by monkeypatching the native
-entry points to report "unavailable", which exercises the exact fallback
+entry point to report "unavailable", which exercises the exact fallback
 path ``REPRO_NO_NATIVE=1`` takes.
 """
 
 import pytest
 
 from repro.devices import grid_device, heavy_hex_device, linear_device
-from repro.mapping.routing import _astar_impl, route_astar, route_sabre
+from repro.mapping.routing import route_astar
 from repro.mapping.routing import astar as astar_mod
-from repro.mapping.routing import sabre as sabre_mod
 from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
 from repro.perf.bench import fingerprint
+from repro.resilience import Deadline, use_deadline
 from repro.workloads import random_circuit
 
 pytestmark = pytest.mark.skipif(
@@ -43,25 +44,22 @@ def _circuit(nq, ng, seed):
     return random_circuit(nq, ng, seed=seed, two_qubit_fraction=0.6)
 
 
-def _python_reference(monkeypatch, route, circuit, device):
-    """Route with every native entry point disabled (pure-Python path)."""
+def _python_reference(monkeypatch, circuit, device):
+    """Route with the native entry point disabled (pure-Python path)."""
     with monkeypatch.context() as m:
-        m.setattr(_astar_impl, "solve_layer_native", lambda *a, **k: None)
         m.setattr(astar_mod, "solve_layers_batch_native", lambda *a, **k: None)
-        m.setattr(sabre_mod, "dist_buffer", lambda *a, **k: None)
-        return route(circuit, device)
+        return route_astar(circuit, device)
 
 
 class TestLargeDeviceAStar:
-    @pytest.mark.parametrize("factory,nq,ng,seed", LARGE_CASES)
-    def test_native_path_used_and_byte_identical(
-        self, monkeypatch, factory, nq, ng, seed
-    ):
+    def _check_native_and_identical(self, monkeypatch, factory, nq, ng, seed,
+                                    deadline):
         device = factory()
         circuit = _circuit(nq, ng, seed)
 
         before = kernel_stats()
-        native = route_astar(circuit, device)
+        with use_deadline(deadline):
+            native = route_astar(circuit, device)
         after = kernel_stats()
 
         # The native kernel must really have routed the layers: the
@@ -70,31 +68,28 @@ class TestLargeDeviceAStar:
         assert after["python_layers"] == before["python_layers"]
         assert after["batch_calls"] == before["batch_calls"] + 1
 
-        reference = _python_reference(monkeypatch, route_astar, circuit, device)
+        reference = _python_reference(monkeypatch, circuit, device)
         assert native.added_swaps == reference.added_swaps
         assert fingerprint(native.circuit) == fingerprint(reference.circuit)
         assert native.final.key() == reference.final.key()
 
-
-class TestLargeDeviceSabre:
     @pytest.mark.parametrize("factory,nq,ng,seed", LARGE_CASES)
-    def test_native_scorer_used_and_byte_identical(
+    def test_native_path_used_and_byte_identical(
         self, monkeypatch, factory, nq, ng, seed
     ):
-        device = factory()
-        circuit = _circuit(nq, ng, seed)
+        self._check_native_and_identical(
+            monkeypatch, factory, nq, ng, seed, None
+        )
 
-        before = kernel_stats()
-        native = route_sabre(circuit, device)
-        after = kernel_stats()
-
-        assert after["sabre_native_calls"] > before["sabre_native_calls"]
-        assert after["sabre_python_calls"] == before["sabre_python_calls"]
-
-        reference = _python_reference(monkeypatch, route_sabre, circuit, device)
-        assert native.added_swaps == reference.added_swaps
-        assert fingerprint(native.circuit) == fingerprint(reference.circuit)
-        assert native.final.key() == reference.final.key()
+    @pytest.mark.parametrize("factory,nq,ng,seed", LARGE_CASES)
+    def test_deadline_stays_native_and_byte_identical(
+        self, monkeypatch, factory, nq, ng, seed
+    ):
+        # A deadline the search never reaches must not change the path:
+        # the batch kernel polls it, so the compile stays native.
+        self._check_native_and_identical(
+            monkeypatch, factory, nq, ng, seed, Deadline.after(3600)
+        )
 
 
 class TestCapBoundary:

@@ -1,13 +1,19 @@
 """Tests for the batch compile engine (repro.service.engine)."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.core.pipeline import PassConfig
 from repro.devices import get_device
 from repro.obs import Tracer, use_tracer
 from repro.qasm import to_openqasm
+from repro.resilience import FaultPlan, FaultSpec
 from repro.service import CompileCache, CompileJob, CompileService
 from repro.service.engine import run_payload
 from repro.workloads import random_circuit
@@ -20,6 +26,14 @@ def _job(seed=1, router="sabre", **kwargs):
     return CompileJob.create(
         qasm, get_device("ibm_qx4"), PassConfig(router=router), **kwargs
     )
+
+
+def _worker_fault(action, job_id=None, delay=None):
+    """A plan firing ``action`` at worker entry of every (matching) job."""
+    extra = {} if delay is None else {"delay": delay}
+    return FaultPlan(specs=(FaultSpec(
+        stage="worker", action=action, job_id=job_id, times=None, **extra
+    ),))
 
 
 class TestSubmit:
@@ -113,22 +127,24 @@ class TestSubmitBatch:
 
 
 class TestFaultTolerance:
-    """Timeout and crash handling on the pool path (test hooks)."""
+    """Timeout and crash handling on the pool path (worker faults)."""
 
     def test_per_job_timeout(self):
         service = CompileService(CompileCache(), max_workers=2)
         slow = _job(job_id="slow")
-        slow.metadata["__test_hook__"] = "sleep:10"
         slow.timeout = 0.3
-        res = service.submit_batch([slow])[0]
+        res = service.submit_batch(
+            [slow], fault_plan=_worker_fault("hang", delay=10)
+        )[0]
         assert res.status == "timeout" and not res.ok
         assert "0.3s compute budget" in res.error
 
     def test_crash_exhausts_retries(self):
         service = CompileService(CompileCache(), max_workers=2, retries=1)
         crasher = _job(job_id="crash")
-        crasher.metadata["__test_hook__"] = "crash"
-        res = service.submit_batch([crasher])[0]
+        res = service.submit_batch(
+            [crasher], fault_plan=_worker_fault("crash")
+        )[0]
         assert res.status == "crashed"
         assert "crashed" in res.error
         assert res.attempts == 2
@@ -145,10 +161,11 @@ class TestFaultTolerance:
         jobs = []
         for s in range(4):
             job = _job(seed=20 + s, job_id=f"w{s}")
-            job.metadata["__test_hook__"] = "sleep:0.5"
             job.timeout = 0.9
             jobs.append(job)
-        results = service.submit_batch(jobs)
+        results = service.submit_batch(
+            jobs, fault_plan=_worker_fault("hang", delay=0.5)
+        )
         assert all(r.ok for r in results), [
             (r.job_id, r.status, r.error) for r in results
         ]
@@ -156,12 +173,48 @@ class TestFaultTolerance:
     def test_crash_does_not_starve_other_jobs(self):
         service = CompileService(CompileCache(), max_workers=2, retries=1)
         crasher = _job(job_id="crash")
-        crasher.metadata["__test_hook__"] = "crash"
         good = _job(seed=5, job_id="good")
-        results = service.submit_batch([crasher, good])
+        results = service.submit_batch(
+            [crasher, good], fault_plan=_worker_fault("crash", job_id="crash")
+        )
         by_id = {r.job_id: r for r in results}
         assert by_id["crash"].status == "crashed"
         assert by_id["good"].ok
+
+
+class TestClientMetadata:
+    def test_metadata_cannot_kill_a_one_worker_service(self):
+        # Job metadata is client data (the gateway passes it through), so
+        # no key of it may steer the compile.  run_payload once obeyed a
+        # "crash" hook key and exited the calling process; the check runs
+        # in a subprocess so a regression fails this test instead of
+        # killing the runner.
+        hook_key = "__" + "test_hook" + "__"
+        code = textwrap.dedent(f"""
+            from repro.core.pipeline import PassConfig
+            from repro.devices import get_device
+            from repro.qasm import to_openqasm
+            from repro.service import CompileJob, CompileService
+            from repro.workloads import random_circuit
+
+            qasm = to_openqasm(random_circuit(5, 12, seed=1))
+            job = CompileJob.create(
+                qasm, get_device("ibm_qx4"), PassConfig(router="sabre"),
+                metadata={{{hook_key!r}: "crash"}},
+            )
+            print(CompileService(None, max_workers=1).submit(job).status)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 class TestMonotonicClock:
@@ -313,17 +366,13 @@ class TestClose:
         import threading
 
         service = CompileService(CompileCache(), max_workers=2)
-        jobs = [
-            _job(
-                seed=20 + i, job_id=f"slow{i}",
-                metadata={"__test_hook__": "sleep:0.5"},
-            )
-            for i in range(4)
-        ]
+        jobs = [_job(seed=20 + i, job_id=f"slow{i}") for i in range(4)]
         closer = threading.Timer(0.15, service.close)
         closer.start()
         try:
-            results = service.submit_batch(jobs)
+            results = service.submit_batch(
+                jobs, fault_plan=_worker_fault("hang", delay=0.5)
+            )
         finally:
             closer.join()
         # No exception escaped, and every job still reached exactly one
