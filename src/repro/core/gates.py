@@ -54,6 +54,7 @@ __all__ = [
     "i",
     "measure",
     "prep_z",
+    "product_2x2",
     "rx",
     "ry",
     "rz",
@@ -77,85 +78,123 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Matrix factories
+# Single-qubit unitaries as scalars
 # ---------------------------------------------------------------------------
+#
+# A 2x2 unitary is four Python ``complex`` values ``(u00, u01, u10, u11)``
+# in row-major order.  Each single-qubit gate defines its entries once,
+# below; its numpy matrix (:meth:`Gate.matrix`, for the simulators) is
+# built from the same entries, so scalar consumers such as single-qubit
+# fusion and the Euler synthesis see exactly the simulators' values.
 
-def _mat_i(_: tuple[float, ...]) -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def _mat_x(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def _mat_y(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[0, -1j], [1j, 0]], dtype=complex)
+_ONE = complex(1)
+_ZERO = complex(0)
 
 
-def _mat_z(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[1, 0], [0, -1]], dtype=complex)
+def product_2x2(left: tuple, right: tuple) -> tuple[complex, complex, complex, complex]:
+    """The entries of ``left @ right`` for two 2x2 entry tuples."""
+    a, b, c, d = left
+    e, f, g, h = right
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _mat_h(_: tuple[float, ...]) -> np.ndarray:
-    return _SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=complex)
+def _u2_i(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ONE, _ZERO, _ZERO, _ONE)
 
 
-def _mat_s(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[1, 0], [0, 1j]], dtype=complex)
+def _u2_x(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ZERO, _ONE, _ONE, _ZERO)
 
 
-def _mat_sdg(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[1, 0], [0, -1j]], dtype=complex)
+def _u2_y(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ZERO, -1j, 1j, _ZERO)
 
 
-def _mat_t(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
+def _u2_z(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ONE, _ZERO, _ZERO, complex(-1))
 
 
-def _mat_tdg(_: tuple[float, ...]) -> np.ndarray:
-    return np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex)
+def _u2_h(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (
+        complex(_SQRT2_INV), complex(_SQRT2_INV),
+        complex(_SQRT2_INV), complex(-_SQRT2_INV),
+    )
 
 
-def _mat_rx(params: tuple[float, ...]) -> np.ndarray:
+def _u2_s(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ONE, _ZERO, _ZERO, 1j)
+
+
+def _u2_sdg(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ONE, _ZERO, _ZERO, -1j)
+
+
+def _u2_t(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ONE, _ZERO, _ZERO, cmath.exp(1j * math.pi / 4))
+
+
+def _u2_tdg(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return (_ONE, _ZERO, _ZERO, cmath.exp(-1j * math.pi / 4))
+
+
+def _u2_rx(params: tuple[float, ...]) -> tuple[complex, ...]:
     (theta,) = params
     c, si = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * si], [-1j * si, c]], dtype=complex)
+    return (complex(c), -1j * si, -1j * si, complex(c))
 
 
-def _mat_ry(params: tuple[float, ...]) -> np.ndarray:
+def _u2_ry(params: tuple[float, ...]) -> tuple[complex, ...]:
     (theta,) = params
     c, si = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -si], [si, c]], dtype=complex)
+    return (complex(c), complex(-si), complex(si), complex(c))
 
 
-def _mat_rz(params: tuple[float, ...]) -> np.ndarray:
+def _u2_rz(params: tuple[float, ...]) -> tuple[complex, ...]:
     (theta,) = params
     phase = cmath.exp(1j * theta / 2.0)
-    return np.array([[1.0 / phase, 0], [0, phase]], dtype=complex)
+    return (1.0 / phase, _ZERO, _ZERO, phase)
 
 
-def _mat_u(params: tuple[float, ...]) -> np.ndarray:
+def _u2_u(params: tuple[float, ...]) -> tuple[complex, ...]:
     # U(theta, phi, lam) = Rz(phi) @ Ry(theta) @ Rz(lam), the Euler
     # decomposition IBM exposes on the QX devices (paper, Section IV).
     theta, phi, lam = params
-    return _mat_rz((phi,)) @ _mat_ry((theta,)) @ _mat_rz((lam,))
+    return product_2x2(
+        product_2x2(_u2_rz((phi,)), _u2_ry((theta,))), _u2_rz((lam,))
+    )
 
 
-def _mat_x90(_: tuple[float, ...]) -> np.ndarray:
-    return _mat_rx((math.pi / 2.0,))
+def _u2_x90(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return _u2_rx((math.pi / 2.0,))
 
 
-def _mat_xm90(_: tuple[float, ...]) -> np.ndarray:
-    return _mat_rx((-math.pi / 2.0,))
+def _u2_xm90(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return _u2_rx((-math.pi / 2.0,))
 
 
-def _mat_y90(_: tuple[float, ...]) -> np.ndarray:
-    return _mat_ry((math.pi / 2.0,))
+def _u2_y90(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return _u2_ry((math.pi / 2.0,))
 
 
-def _mat_ym90(_: tuple[float, ...]) -> np.ndarray:
-    return _mat_ry((-math.pi / 2.0,))
+def _u2_ym90(_: tuple[float, ...]) -> tuple[complex, ...]:
+    return _u2_ry((-math.pi / 2.0,))
 
+
+def _matrix_from(
+    entries: Callable[[tuple[float, ...]], tuple[complex, ...]],
+) -> Callable[[tuple[float, ...]], np.ndarray]:
+    """The numpy matrix factory of a single-qubit gate's ``entries``."""
+
+    def factory(params: tuple[float, ...]) -> np.ndarray:
+        a, b, c, d = entries(params)
+        return np.array([[a, b], [c, d]], dtype=complex)
+
+    return factory
+
+
+# ---------------------------------------------------------------------------
+# Multi-qubit matrix factories
+# ---------------------------------------------------------------------------
 
 def _mat_cnot(_: tuple[float, ...]) -> np.ndarray:
     # Qubit order convention: qubits[0] is the control, qubits[1] the
@@ -248,6 +287,10 @@ class GateSpec:
             optimisers exploit to cancel adjacent duplicates.
         hermitian_params: For parametrised gates, ``True`` when the
             inverse is obtained by negating all parameters.
+        entries: For single-qubit unitaries, factory mapping the
+            parameter tuple to the four entries ``(u00, u01, u10, u11)``
+            of the matrix as Python complex numbers; ``matrix`` is built
+            from them.  ``None`` for every other operation.
     """
 
     name: str
@@ -258,6 +301,7 @@ class GateSpec:
     self_inverse: bool = False
     hermitian_params: bool = False
     inverse_name: str | None = None
+    entries: Callable[[tuple[float, ...]], tuple[complex, ...]] | None = None
 
 
 GATE_SPECS: dict[str, GateSpec] = {}
@@ -269,24 +313,31 @@ def _register(spec: GateSpec) -> None:
     GATE_SPECS[spec.name] = spec
 
 
+def _single(name: str, num_params: int, entries, **flags) -> GateSpec:
+    """The spec of a single-qubit unitary defined by its ``entries``."""
+    return GateSpec(
+        name, 1, num_params, _matrix_from(entries), entries=entries, **flags
+    )
+
+
 for _spec in [
-    GateSpec("i", 1, 0, _mat_i, self_inverse=True),
-    GateSpec("x", 1, 0, _mat_x, self_inverse=True),
-    GateSpec("y", 1, 0, _mat_y, self_inverse=True),
-    GateSpec("z", 1, 0, _mat_z, self_inverse=True),
-    GateSpec("h", 1, 0, _mat_h, self_inverse=True),
-    GateSpec("s", 1, 0, _mat_s, inverse_name="sdg"),
-    GateSpec("sdg", 1, 0, _mat_sdg, inverse_name="s"),
-    GateSpec("t", 1, 0, _mat_t, inverse_name="tdg"),
-    GateSpec("tdg", 1, 0, _mat_tdg, inverse_name="t"),
-    GateSpec("rx", 1, 1, _mat_rx, hermitian_params=True),
-    GateSpec("ry", 1, 1, _mat_ry, hermitian_params=True),
-    GateSpec("rz", 1, 1, _mat_rz, hermitian_params=True),
-    GateSpec("u", 1, 3, _mat_u),
-    GateSpec("x90", 1, 0, _mat_x90, inverse_name="xm90"),
-    GateSpec("xm90", 1, 0, _mat_xm90, inverse_name="x90"),
-    GateSpec("y90", 1, 0, _mat_y90, inverse_name="ym90"),
-    GateSpec("ym90", 1, 0, _mat_ym90, inverse_name="y90"),
+    _single("i", 0, _u2_i, self_inverse=True),
+    _single("x", 0, _u2_x, self_inverse=True),
+    _single("y", 0, _u2_y, self_inverse=True),
+    _single("z", 0, _u2_z, self_inverse=True),
+    _single("h", 0, _u2_h, self_inverse=True),
+    _single("s", 0, _u2_s, inverse_name="sdg"),
+    _single("sdg", 0, _u2_sdg, inverse_name="s"),
+    _single("t", 0, _u2_t, inverse_name="tdg"),
+    _single("tdg", 0, _u2_tdg, inverse_name="t"),
+    _single("rx", 1, _u2_rx, hermitian_params=True),
+    _single("ry", 1, _u2_ry, hermitian_params=True),
+    _single("rz", 1, _u2_rz, hermitian_params=True),
+    _single("u", 3, _u2_u),
+    _single("x90", 0, _u2_x90, inverse_name="xm90"),
+    _single("xm90", 0, _u2_xm90, inverse_name="x90"),
+    _single("y90", 0, _u2_y90, inverse_name="ym90"),
+    _single("ym90", 0, _u2_ym90, inverse_name="y90"),
     GateSpec("cnot", 2, 0, _mat_cnot, self_inverse=True),
     # Shuttling (paper Sec. VI-C, silicon quantum dots): physically moves
     # a qubit into an *empty* neighbouring dot.  Unitarily it equals a

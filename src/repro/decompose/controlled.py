@@ -51,7 +51,7 @@ def controlled_unitary(
     Returns:
         Gate list in circuit order; at most 2 CNOTs and 5 rotations.
     """
-    theta, phi, lam, alpha = zyz_angles(np.asarray(matrix, dtype=complex))
+    theta, phi, lam, alpha = zyz_angles(matrix)
     sequence: list[Gate] = []
 
     # C (applied first)

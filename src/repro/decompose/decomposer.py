@@ -107,26 +107,71 @@ def decompose_circuit(circuit: Circuit, device: Device) -> Circuit:
     The output circuit is equivalent to the input up to global phase and
     contains only native gates (plus measure/prep/barrier).
 
+    Each distinct gate is rewritten once per call: :func:`decompose_gate`
+    runs on it a single time, level by level (the gates of the input,
+    then the gates their rewrites produce, and so on), and every
+    occurrence of the gate takes its memoised native expansion.  The
+    output is the one repeated whole-circuit rewriting would give,
+    including which ``ValueError`` comes first.  Distinct means a
+    different ``repr``, so ``0.0`` and ``-0.0`` angles stay apart.  The
+    memo lives for this call only.
+
     Raises:
-        ValueError: when rewriting fails to converge, meaning the device's
-            native set is not universal for the input.
+        ValueError: when rewriting fails to converge within
+            ``_MAX_PASSES`` levels, meaning the device's native set is
+            not universal for the input.
     """
-    current = circuit
+    steps: dict[tuple, list[Gate]] = {}
+    level = {_memo_key(gate): gate for gate in circuit.gates}
     for _ in range(_MAX_PASSES):
-        out = Circuit(current.num_qubits, name=current.name)
         changed = False
-        for gate in current.gates:
-            replacement = decompose_gate(gate, device)
+        produced: dict[tuple, Gate] = {}
+        for key, gate in level.items():
+            replacement = steps.get(key)
+            if replacement is None:
+                replacement = steps[key] = decompose_gate(gate, device)
             if len(replacement) != 1 or replacement[0] != gate:
                 changed = True
-            out.extend(replacement)
+                for g in replacement:
+                    produced.setdefault(_memo_key(g), g)
         if not changed:
-            return out
-        current = out
-    raise ValueError(
-        f"decomposition did not converge on device {device.name!r}; "
-        f"native set {sorted(device.native_gates)} may not be universal"
-    )
+            break
+        level = produced
+    else:
+        raise ValueError(
+            f"decomposition did not converge on device {device.name!r}; "
+            f"native set {sorted(device.native_gates)} may not be universal"
+        )
+
+    expansions: dict[tuple, list[Gate]] = {}
+
+    def expand(key: tuple, gate: Gate) -> list[Gate]:
+        native = expansions.get(key)
+        if native is None:
+            replacement = steps[key]
+            if len(replacement) == 1 and replacement[0] == gate:
+                native = replacement
+            else:
+                native = []
+                for g in replacement:
+                    native.extend(expand(_memo_key(g), g))
+            expansions[key] = native
+        return native
+
+    out = Circuit(circuit.num_qubits, name=circuit.name)
+    for gate in circuit.gates:
+        out.gates.extend(expand(_memo_key(gate), gate))
+    return out
+
+
+def _memo_key(gate: Gate) -> tuple:
+    """Memo key of ``gate``.
+
+    ``Gate`` equality holds between ``0.0`` and ``-0.0`` angles, which
+    print (and lower) differently, so parameters key by their ``repr``.
+    """
+    params = gate.params
+    return (gate.name, gate.qubits, repr(params) if params else (), gate.condition)
 
 
 def count_native_misses(circuit: Circuit, device: Device) -> int:

@@ -19,20 +19,20 @@ peephole repertoire:
 * :func:`remove_identities` — drop explicit ``i`` gates and zero-angle
   rotations.
 
-All passes preserve the circuit unitary up to global phase; the driver
-:func:`optimize_circuit` iterates them to a fixed point.
+All passes preserve the circuit unitary up to global phase, and a
+classically conditioned gate never joins a cancellation, merge or
+fusion.  Each pass is one O(n) sweep with no numpy arithmetic; the
+driver :func:`optimize_circuit` iterates them to a fixed point.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core.circuit import Circuit
 from ..core import gates as G
-from ..core.gates import Gate
-from ..decompose.euler import u_angles
+from ..core.gates import Gate, product_2x2
+from ..decompose.euler import is_unitary, u_angles
 
 __all__ = [
     "cancel_inverse_pairs",
@@ -44,6 +44,22 @@ __all__ = [
 
 _ANGLE_EPS = 1e-9
 _ROTATIONS = {"rx", "ry", "rz", "cp", "crz"}
+# Gates cancel_inverse_pairs tries to pair: unitary, not a barrier, and
+# inverted by a name swap or by negating every parameter.
+_CANCELLABLE = {
+    name
+    for name, spec in G.GATE_SPECS.items()
+    if spec.matrix is not None
+    and (not spec.num_params or spec.hermitian_params)
+}
+# The name every inverse of a cancellable gate carries.
+_INVERSE_NAME = {
+    name: G.GATE_SPECS[name].inverse_name or name for name in _CANCELLABLE
+}
+_IDENTITY = G.GATE_SPECS["i"].entries(())
+# ``np.allclose(m, m[0, 0] * I, atol=1e-9)``: |a - b| <= atol + rtol * |b|.
+_PHASE_ATOL = 1e-9
+_RTOL = 1e-5
 
 
 def _is_identity_angle(angle: float) -> bool:
@@ -57,54 +73,95 @@ def _is_identity_angle(angle: float) -> bool:
     return abs(math.remainder(angle, 4.0 * math.pi)) < _ANGLE_EPS
 
 
+def _rebuilt(circuit: Circuit, gates: list[Gate]) -> Circuit:
+    """A circuit like ``circuit`` holding ``gates`` (already on its qubits)."""
+    out = Circuit(circuit.num_qubits, name=circuit.name)
+    out.gates.extend(gates)
+    return out
+
+
+def _wire_successors(circuit: Circuit) -> tuple[list, list]:
+    """Per-wire successor links of every gate.
+
+    Returns ``(wires, successors)``: ``wires[i]`` is the qubits gate
+    ``i`` touches (a barrier without qubits touches every wire) and
+    ``successors[i][k]`` is the index of the next gate on wire
+    ``wires[i][k]``, or ``None`` when gate ``i`` is the last there.
+    """
+    every = tuple(range(circuit.num_qubits))
+    # The successor list and slot of the last gate seen on each wire; a
+    # wire no gate has touched yet points into a discarded list.
+    last_after: list[list] = [[None]] * circuit.num_qubits
+    last_slot = [0] * circuit.num_qubits
+    wires: list[tuple[int, ...]] = []
+    successors: list[list[int | None]] = []
+    for index, gate in enumerate(circuit.gates):
+        qubits = gate.qubits or every
+        after = [None] * len(qubits)
+        wires.append(qubits)
+        successors.append(after)
+        for k, q in enumerate(qubits):
+            last_after[q][last_slot[q]] = index
+            last_after[q] = after
+            last_slot[q] = k
+    return wires, successors
+
+
+def _next_on_same_wires(wires: list, successors: list, index: int) -> int | None:
+    """The gate after ``index`` on its wires, if it touches exactly them.
+
+    That is the first later gate touching any wire of gate ``index``,
+    provided it touches all of them and no other; a gate overlapping
+    them partially blocks the line, and ``None`` comes back, as it does
+    when no later gate touches them.
+
+    The sweeps below ask this of each gate once, in circuit order, and
+    remove only gates it returned: such a gate's predecessor on each of
+    its wires is the gate it was returned for, which was asked about
+    already.  So no gate asked about later has a removed gate as its
+    direct successor, and the answer is the first later gate not yet
+    removed, the one a forward rescan finds.
+    """
+    after = successors[index]
+    first = after[0]
+    if first is None or len(wires[first]) != len(after):
+        return None
+    for other in after:
+        if other != first:
+            return None
+    return first
+
+
 def cancel_inverse_pairs(circuit: Circuit) -> Circuit:
     """Remove adjacent mutually-inverse gate pairs.
 
     Two gates cancel when the second is the inverse of the first, they
     act on the same qubits in the same order (or any order for symmetric
-    gates), and no intervening gate touches any of those qubits.  One
-    sweep; run under :func:`optimize_circuit` for cascading cancels.
+    gates), and no intervening gate touches any of those qubits.  A
+    classically conditioned gate never cancels: :meth:`Gate.inverse`
+    refuses it, and it differs from every unconditioned gate.  One
+    sweep in O(n) for n gates of bounded arity, over per-wire successor
+    links and removal flags; run under :func:`optimize_circuit` for
+    cascading cancels.
     """
-    gates = list(circuit.gates)
+    gates = circuit.gates
+    wires, successors = _wire_successors(circuit)
     removed = [False] * len(gates)
     for index, gate in enumerate(gates):
-        if removed[index] or not gate.is_unitary or gate.is_barrier:
+        if removed[index] or gate.name not in _CANCELLABLE:
             continue
-        spec = gate.spec
-        if spec.num_params and not spec.hermitian_params:
-            continue  # handled by merge_rotations / fusion instead
-        partner = _next_unremoved_on_qubits(circuit, gates, removed, index)
+        partner = _next_on_same_wires(wires, successors, index)
         if partner is None:
             continue
         other = gates[partner]
-        if not other.is_unitary:
-            continue
+        if other.name != _INVERSE_NAME[gate.name]:
+            continue  # not the inverse, nor a measure, prep or barrier
         if not _are_inverses(gate, other):
             continue
         removed[index] = removed[partner] = True
-    out = Circuit(circuit.num_qubits, name=circuit.name)
-    for index, gate in enumerate(gates):
-        if not removed[index]:
-            out.append(gate)
-    return out
-
-
-def _next_unremoved_on_qubits(circuit, gates, removed, start) -> int | None:
-    wanted = set(gates[start].qubits)
-    for index in range(start + 1, len(gates)):
-        if removed[index]:
-            continue
-        gate = gates[index]
-        touched = set(gate.qubits) if gate.qubits else set(range(circuit.num_qubits))
-        overlap = touched & wanted
-        if not overlap:
-            continue
-        # Only a *full* overlap candidate can cancel; a partial overlap
-        # blocks the line.
-        if touched == wanted:
-            return index
-        return None
-    return None
+    return _rebuilt(
+        circuit, [gate for gate, gone in zip(gates, removed) if not gone]
+    )
 
 
 def _are_inverses(a: Gate, b: Gate) -> bool:
@@ -125,51 +182,48 @@ def merge_rotations(circuit: Circuit) -> Circuit:
     """Fuse adjacent same-axis rotations on the same qubits.
 
     ``rx(a) rx(b) -> rx(a + b)`` (likewise ry/rz/cp/crz); sums that are
-    full turns are dropped entirely.
+    full turns are dropped entirely.  Angles are summed left to right.
+    A classically conditioned rotation never merges, neither as the
+    first rotation nor as a later one; it passes through unchanged.
+    One sweep in O(n) for n gates of bounded arity: per-wire successor
+    links lead from each rotation to the next, and merged gates are
+    flagged as removed rather than deleted from a list.
     """
-    out = Circuit(circuit.num_qubits, name=circuit.name)
-    gates = list(circuit.gates)
-    index = 0
-    while index < len(gates):
-        gate = gates[index]
-        if gate.name in _ROTATIONS:
-            angle = gate.params[0]
-            cursor = index
-            while True:
-                nxt = _next_on_qubits_list(circuit, gates, cursor, gate.qubits)
-                if nxt is None:
-                    break
-                other = gates[nxt]
-                same_operands = other.qubits == gate.qubits or (
-                    other.spec.symmetric
-                    and set(other.qubits) == set(gate.qubits)
-                )
-                if other.name == gate.name and same_operands:
-                    angle += other.params[0]
-                    gates.pop(nxt)
-                    continue
+    gates = circuit.gates
+    wires, successors = _wire_successors(circuit)
+    removed = [False] * len(gates)
+    out: list[Gate] = []
+    for index, gate in enumerate(gates):
+        if removed[index]:
+            continue
+        if gate.name not in _ROTATIONS or gate.condition is not None:
+            out.append(gate)
+            continue
+        angle = gate.params[0]
+        merged = False
+        cursor = index
+        while True:
+            nxt = _next_on_same_wires(wires, successors, cursor)
+            if nxt is None:
                 break
-            if not _is_identity_angle(angle):
-                out.append(Gate(gate.name, gate.qubits, (angle,)))
-            index += 1
-            continue
-        out.append(gate)
-        index += 1
-    return out
-
-
-def _next_on_qubits_list(circuit, gates, start, qubits) -> int | None:
-    wanted = set(qubits)
-    for index in range(start + 1, len(gates)):
-        gate = gates[index]
-        touched = set(gate.qubits) if gate.qubits else set(range(circuit.num_qubits))
-        overlap = touched & wanted
-        if not overlap:
-            continue
-        if touched == wanted:
-            return index
-        return None
-    return None
+            other = gates[nxt]
+            same_operands = other.qubits == gate.qubits or (
+                other.spec.symmetric
+                and set(other.qubits) == set(gate.qubits)
+            )
+            if (
+                other.name == gate.name
+                and same_operands
+                and other.condition is None
+            ):
+                angle += other.params[0]
+                removed[nxt] = merged = True
+                cursor = nxt
+                continue
+            break
+        if not _is_identity_angle(angle):
+            out.append(Gate(gate.name, gate.qubits, (angle,)) if merged else gate)
+    return _rebuilt(circuit, out)
 
 
 def fuse_single_qubit_runs(circuit: Circuit, *, emit: str = "u") -> Circuit:
@@ -183,18 +237,27 @@ def fuse_single_qubit_runs(circuit: Circuit, *, emit: str = "u") -> Circuit:
 
     Runs whose product is the identity (up to global phase) vanish
     entirely.  Barriers, measurements, preparations and multi-qubit
-    gates end a run.
+    gates end a run.  A classically conditioned gate never joins a run:
+    it ends the runs on its qubits and on its condition bit's wire (as
+    :mod:`repro.core.dag` and the scheduler order that bit) and passes
+    through unchanged.  Each run is multiplied out in scalar complex
+    arithmetic, one 2x2 product per gate, so the emitted angles do not
+    depend on the BLAS kernel.
+
+    Raises:
+        ValueError: when a run's product is not unitary.
     """
     if emit not in ("u", "zyz"):
         raise ValueError(f"unknown emit mode {emit!r}")
-    out = Circuit(circuit.num_qubits, name=circuit.name)
-    pending: dict[int, np.ndarray] = {}
+    out: list[Gate] = []
+    pending: dict[int, tuple[complex, ...]] = {}
 
     def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is None:
+        entries = pending.pop(qubit, None)
+        if entries is None:
             return
-        if np.allclose(matrix @ matrix.conj().T, np.eye(2)) and _is_phase_identity(matrix):
+        matrix = (entries[:2], entries[2:])
+        if _is_phase_identity(entries) and is_unitary(matrix):
             return
         theta, phi, lam = u_angles(matrix)
         if emit == "u":
@@ -207,37 +270,45 @@ def fuse_single_qubit_runs(circuit: Circuit, *, emit: str = "u") -> Circuit:
             if abs(phi) > _ANGLE_EPS:
                 out.append(G.rz(phi, qubit))
 
+    every = tuple(range(circuit.num_qubits))
     for gate in circuit.gates:
-        if gate.is_unitary and len(gate.qubits) == 1:
+        entries = gate.spec.entries
+        if entries is not None and gate.condition is None:
             q = gate.qubits[0]
-            pending[q] = gate.matrix() @ pending.get(q, np.eye(2, dtype=complex))
+            pending[q] = product_2x2(
+                entries(gate.params), pending.get(q, _IDENTITY)
+            )
             continue
-        touched = gate.qubits if gate.qubits else tuple(range(circuit.num_qubits))
+        touched = gate.qubits or every
+        if gate.condition is not None and gate.condition[0] not in touched:
+            touched = touched + (gate.condition[0],)
         for q in touched:
             flush(q)
         out.append(gate)
     for q in sorted(pending):
         flush(q)
-    return out
+    return _rebuilt(circuit, out)
 
 
-def _is_phase_identity(matrix: np.ndarray) -> bool:
-    pivot = matrix[0, 0]
-    if abs(abs(pivot) - 1.0) > 1e-9:
+def _is_phase_identity(entries: tuple[complex, ...]) -> bool:
+    """``entries`` is ``e^{i phi} I``: np.allclose(m, m[0, 0] * I, atol=1e-9)."""
+    a, b, c, d = entries
+    if abs(abs(a) - 1.0) > _PHASE_ATOL:
         return False
-    return np.allclose(matrix, pivot * np.eye(2), atol=1e-9)
+    return (
+        abs(b) <= _PHASE_ATOL
+        and abs(c) <= _PHASE_ATOL
+        and abs(d - a) <= _PHASE_ATOL + _RTOL * abs(a)
+    )
 
 
 def remove_identities(circuit: Circuit) -> Circuit:
     """Drop explicit identity gates and zero-angle rotations."""
-    out = Circuit(circuit.num_qubits, name=circuit.name)
-    for gate in circuit.gates:
-        if gate.name == "i":
-            continue
-        if gate.name in _ROTATIONS and _is_identity_angle(gate.params[0]):
-            continue
-        out.append(gate)
-    return out
+    return _rebuilt(circuit, [
+        gate for gate in circuit.gates
+        if gate.name != "i"
+        and not (gate.name in _ROTATIONS and _is_identity_angle(gate.params[0]))
+    ])
 
 
 def optimize_circuit(

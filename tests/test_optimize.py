@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Circuit
+from repro.core.gates import Gate
 from repro.optimize import (
     cancel_inverse_pairs,
     fuse_single_qubit_runs,
@@ -139,6 +140,67 @@ class TestFuseSingleQubitRuns:
     def test_unknown_emit_mode(self):
         with pytest.raises(ValueError):
             fuse_single_qubit_runs(Circuit(1), emit="xyz")
+
+    def test_non_unitary_run_raises(self):
+        circuit = Circuit(1).h(0).rz(float("nan"), 0)
+        with pytest.raises(ValueError, match="not unitary"):
+            fuse_single_qubit_runs(circuit)
+
+
+class TestClassicalConditions:
+    """A conditioned gate never joins a cancel, merge or fusion."""
+
+    def test_conditioned_rz_survives_merge(self):
+        circuit = Circuit(2).measure(1).rz(0.3, 0)
+        circuit.append(Gate("rz", (0,), (0.4,), condition=(1, 1)))
+        merged = merge_rotations(circuit)
+        assert merged.gates == circuit.gates
+
+    def test_conditioned_rotation_does_not_start_a_merge(self):
+        circuit = Circuit(2).measure(1)
+        circuit.append(Gate("rz", (0,), (0.4,), condition=(1, 1)))
+        circuit.rz(0.3, 0).rz(0.2, 0)
+        merged = merge_rotations(circuit)
+        assert merged.gates[:2] == circuit.gates[:2]
+        assert merged.gates[2] == Gate("rz", (0,), (0.3 + 0.2,))
+        assert merged.size() == 3
+
+    def test_conditioned_x_after_h_survives_fusion_unfused(self):
+        circuit = Circuit(2).measure(1).h(0)
+        conditioned = Gate("x", (0,), condition=(1, 1))
+        circuit.append(conditioned)
+        fused = fuse_single_qubit_runs(circuit)
+        assert [g.name for g in fused] == ["measure", "u", "x"]
+        assert fused.gates[-1] == conditioned
+
+    def test_conditioned_gate_ends_the_run_on_its_condition_wire(self):
+        circuit = Circuit(2).measure(1).h(1)
+        circuit.append(Gate("x", (0,), condition=(1, 1)))
+        circuit.h(1)
+        fused = fuse_single_qubit_runs(circuit)
+        # Without the flush, h.h on wire 1 would fuse into nothing.
+        assert [(g.name, g.qubits) for g in fused] == [
+            ("measure", (1,)), ("u", (1,)), ("x", (0,)), ("u", (1,)),
+        ]
+        assert fused.gates[2].condition == (1, 1)
+
+    @pytest.mark.parametrize("name", ["x", "h", "cnot"])
+    def test_cancel_never_pairs_a_conditioned_gate(self, name):
+        qubits = (0, 1) if name == "cnot" else (0,)
+        plain = Gate(name, qubits)
+        conditioned = Gate(name, qubits, condition=(2, 1))
+        for pair in ([plain, conditioned], [conditioned, plain],
+                     [conditioned, conditioned]):
+            circuit = Circuit(3, [Gate("measure", (2,)), *pair])
+            assert cancel_inverse_pairs(circuit).gates == circuit.gates
+
+    def test_optimize_keeps_every_condition(self):
+        circuit = Circuit(2).measure(1).h(0).rz(0.2, 0)
+        circuit.append(Gate("rz", (0,), (0.4,), condition=(1, 1)))
+        circuit.append(Gate("x", (0,), condition=(1, 1)))
+        circuit.h(0)
+        optimised = optimize_circuit(circuit, fuse=True)
+        assert [g.condition for g in optimised if g.condition] == [(1, 1), (1, 1)]
 
 
 class TestRemoveIdentities:

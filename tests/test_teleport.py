@@ -194,6 +194,44 @@ class TestDecompositionWithConditions:
         )
 
 
+class TestOptimizedTeleportKeepsCorrections:
+    """``optimize=True`` keeps the conditioned corrections of teleport."""
+
+    @pytest.mark.parametrize("device", ["linear9", "grid3x3", "ibm_qx5"])
+    def test_same_conditioned_gates_and_equivalent(self, device):
+        from repro.core.pipeline import compile_circuit
+        from repro.devices import ibm_qx5
+
+        device = {
+            "linear9": lambda: linear_device(9),
+            "grid3x3": lambda: grid_device(3, 3),
+            "ibm_qx5": ibm_qx5,
+        }[device]()
+        circuit = Circuit(2).h(0).cnot(0, 1).rz(0.4, 1).cnot(0, 1).ry(0.7, 0)
+
+        def far_apart(circuit, device):
+            return Placement.from_partial({0: 0, 1: 8}, 2, device.num_qubits)
+
+        results = {
+            optimize: compile_circuit(
+                circuit, device, placer=far_apart, router="teleport",
+                optimize=optimize,
+            )
+            for optimize in (False, True)
+        }
+        conditioned = {
+            optimize: [g for g in result.native if g.condition is not None]
+            for optimize, result in results.items()
+        }
+        assert len(conditioned[False]) == 2
+        assert conditioned[True] == conditioned[False]
+        for result in results.values():
+            assert equivalent_mapped_with_feedforward(
+                circuit, result.native, result.routed.initial,
+                result.routed.final,
+            )
+
+
 class TestDataQubitFidelity:
     def test_perfect_match(self):
         state = simulate(Circuit(2).h(0))
