@@ -11,16 +11,38 @@ OpenQASM 2.0 subset those gate lists use:
 * gate applications with parameter expressions (numbers, ``pi``,
   ``+ - * /``, unary minus, parentheses), including register broadcast
   (``h q;`` applies H to every qubit of ``q``);
+* classically conditioned gates, ``if(cN==v) gate ...;``, on the
+  per-qubit one-bit registers the writer emits;
 * ``measure``, ``reset``, and ``barrier``.
 
-Custom ``gate`` definitions, ``if`` statements and ``opaque`` are outside
-the subset and raise :class:`QasmError` with a position.
+Custom ``gate`` definitions and ``opaque`` are outside the subset and
+raise :class:`QasmError` with a position, as does every other malformed
+statement, including a gate given the wrong number of operands or the
+same operand twice.  A parameter expression that divides by zero still
+raises :class:`ZeroDivisionError`.
+
+Cost model.  The compile service stores every artefact and stage entry
+as OpenQASM text, so each cache hit pays for a parse.  A call scans the
+source once: per line it cuts the ``//`` comment and finds the
+terminators ``;``, ``{`` and ``}`` with a compiled pattern, so no Python
+loop runs per character.  It then parses each distinct statement text
+once.  The gates a statement produced are kept, for the rest of the call
+only, under the statement's exact text (an ``if(...)`` prefix included),
+and every repeat of that text reuses the same immutable :class:`Gate`
+objects.  This is sound because a statement's gates depend only on its
+text and on the registers declared before it, and a register is never
+redeclared or resized.  A statement that fails raises at its own
+position and is never kept.  Lowered circuits repeat most of their
+statements, so their parse costs little more than the scan; input
+circuits repeat few, and gain only from the scan and from patterns
+compiled once at import.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..core.circuit import Circuit
@@ -83,6 +105,17 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>->|[-+*/()\[\],;])"
     r")"
 )
+
+# The statement grammar, compiled once at import.
+_PIECE_RE = re.compile(r"[^;{}]*[;{}]")  # up to and including a terminator
+_IF_RE = re.compile(
+    r"if\s*\(\s*([A-Za-z_]\w*)\s*==\s*(\d+)\s*\)\s*(.+)", re.S
+)
+_CONDITION_BIT_RE = re.compile(r"c(\d+)")
+_QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
+_MEASURE_RE = re.compile(r"measure\s+(.+?)\s*(?:->\s*.+)?", re.S)
+_APPLY_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*?)\))?\s*(.+)", re.S)
+_OPERAND_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?")
 
 
 def _tokenize(text: str, line: int) -> list[str]:
@@ -156,176 +189,200 @@ class _ExprParser:
             raise QasmError(f"bad expression token {token!r}", self.line)
 
 
-def _strip_comments(source: str) -> list[tuple[int, int, str]]:
-    """Split into statements annotated with 1-based (line, col) starts.
+def _statements(source: str) -> Iterator[tuple[int, int, str]]:
+    """Yield each statement as ``(line, column, text)``, 1-based.
 
-    The position is where each statement's first non-blank character
-    sits, so the second statement on a shared line reports its own
-    column instead of inheriting the line's first statement.  Line
-    breaks inside an unfinished statement are preserved as ``\\n`` in
-    the buffer — without them, tokens ending one line fused with tokens
-    opening the next (``h\\nq[0];`` used to parse as the gate ``hq``).
+    The position is that of the statement's first non-blank character,
+    or of its terminator when the statement is empty, so the second
+    statement on a shared line reports where *it* starts.  A statement
+    continued over several lines is reported at its first line and keeps
+    a ``\\n`` for each line break it spans: without them, tokens ending
+    one line fused with tokens opening the next (``h\\nq[0];`` used to
+    parse as the gate ``hq``).  A last statement with no terminator is
+    yielded too.  Line breaks are those of :meth:`str.splitlines`.
     """
-    statements: list[tuple[int, int, str]] = []
-    buffer = ""
-    start_line = 1
-    start_col = 1
+    pending: list[str] = []  # the unfinished statement, one piece per line
+    start_line = start_col = 0
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        for colno, ch in enumerate(line, start=1):
-            if not buffer.strip():
-                start_line, start_col = lineno, colno
-            if ch in ";{}":
-                statements.append(
-                    (start_line, start_col, (buffer + ch).strip())
-                )
-                buffer = ""
+        cut = raw.find("//")
+        line = raw if cut < 0 else raw[:cut]
+        end = 0
+        for piece in _PIECE_RE.findall(line):
+            end += len(piece)
+            if pending:
+                pending.append(piece)
+                yield start_line, start_col, "".join(pending).strip()
+                pending = []
             else:
-                buffer += ch
-        if buffer.strip():
-            buffer += "\n"
-    if buffer.strip():
-        statements.append((start_line, start_col, buffer.strip()))
-    return statements
+                text = piece.lstrip()
+                yield lineno, end - len(text) + 1, text
+        if pending:
+            pending += (line[end:], "\n")
+        else:
+            text = line[end:].lstrip()
+            if text:
+                start_line, start_col = lineno, len(line) - len(text) + 1
+                pending = [text, "\n"]
+    if pending:
+        yield start_line, start_col, "".join(pending).strip()
 
 
 def parse_qasm(source: str) -> Circuit:
     """Parse OpenQASM 2.0 ``source`` into a :class:`Circuit`.
 
     Raises:
-        QasmError: on syntax errors or unsupported constructs.
+        QasmError: on syntax errors, unsupported constructs, and gates
+            whose operands do not fit them; always with the offending
+            statement's line and column.
     """
     registers: dict[str, _Register] = {}
-    total_qubits = 0
     gates: list[Gate] = []
-    name = ""
+    # Statement text -> the gates it produced.  Local to this call, so
+    # no parse is ever answered from another call's work.
+    parsed: dict[str, tuple[Gate, ...]] = {}
+    for line, col, statement in _statements(source):
+        produced = parsed.get(statement)
+        if produced is None:
+            try:
+                produced = _statement_gates(statement, registers, line)
+            except QasmError as exc:
+                if exc.column is None and exc.line == line:
+                    # Attach where this statement starts, so errors on the
+                    # second statement of a shared line point at it and not
+                    # at the line's first statement.
+                    raise QasmError(exc.message, line, col) from None
+                raise
+            if produced is None:
+                continue  # a qreg declaration is state, never reused
+            parsed[statement] = produced
+        gates += produced
 
-    for line, col, statement in _strip_comments(source):
-        try:
-            body = statement.rstrip(";").strip()
-            if not body:
-                continue
-            head = body.split(None, 1)[0].lower()
+    return Circuit(sum(reg.size for reg in registers.values()), gates)
 
-            if head == "openqasm":
-                continue
-            if head == "include":
-                continue
-            if head == "creg":
-                continue  # classical registers only receive measurements
-            if head in ("gate", "opaque"):
-                raise QasmError(f"unsupported construct {head!r}", line)
 
-            condition: tuple[int, int] | None = None
-            if head == "if" or body.startswith("if"):
-                match = re.fullmatch(
-                    r"if\s*\(\s*([A-Za-z_]\w*)\s*==\s*(\d+)\s*\)\s*(.+)",
-                    body,
-                    flags=re.S,
-                )
-                if match is None:
-                    raise QasmError("malformed if statement", line)
-                reg_name, value_text, body = match.groups()
-                bit_match = re.fullmatch(r"c(\d+)", reg_name)
-                if bit_match is None:
-                    raise QasmError(
-                        "conditions must use the per-qubit classical "
-                        f"registers c<N> (got {reg_name!r})",
-                        line,
-                    )
-                value = int(value_text)
-                if value not in (0, 1):
-                    raise QasmError("condition value must be 0 or 1", line)
-                condition = (int(bit_match.group(1)), value)
-                head = body.split(None, 1)[0].lower()
-            if head == "qreg":
-                match = re.fullmatch(
-                    r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]", body
-                )
-                if match is None:
-                    raise QasmError("malformed qreg declaration", line)
-                reg_name, size = match.group(1), int(match.group(2))
-                if reg_name in registers:
-                    raise QasmError(f"duplicate register {reg_name!r}", line)
-                registers[reg_name] = _Register(reg_name, size, total_qubits)
-                total_qubits += size
-                continue
-            if condition is not None and head in ("barrier", "measure", "reset"):
-                raise QasmError(f"cannot condition {head!r}", line)
-            if head == "barrier":
-                operands = body[len("barrier"):].strip()
-                qubits = (
-                    _parse_operands(operands, registers, line)
-                    if operands else []
-                )
-                flat = [q for group in qubits for q in group]
-                gates.append(Gate("barrier", tuple(flat)))
-                continue
-            if head == "measure":
-                match = re.fullmatch(
-                    r"measure\s+(.+?)\s*(?:->\s*.+)?", body, flags=re.S
-                )
-                if match is None:
-                    raise QasmError("malformed measure", line)
-                for group in _parse_operands(match.group(1), registers, line):
-                    for q in group:
-                        gates.append(Gate("measure", (q,)))
-                continue
-            if head == "reset":
-                operands = body[len("reset"):].strip()
-                for group in _parse_operands(operands, registers, line):
-                    for q in group:
-                        gates.append(Gate("prep_z", (q,)))
-                continue
+def _statement_gates(
+    statement: str, registers: dict[str, _Register], line: int
+) -> tuple[Gate, ...] | None:
+    """The gates one statement applies, in order.
 
-            # Generic gate application: name[(params)] operands
-            match = re.fullmatch(
-                r"([A-Za-z_]\w*)\s*(?:\((.*?)\))?\s*(.+)", body, flags=re.S
+    ``None`` for a ``qreg`` declaration, which is added to ``registers``
+    instead.  Raises :class:`QasmError` without a column.
+    """
+    body = statement.rstrip(";").strip()
+    if not body:
+        return ()
+    head = body.split(None, 1)[0].lower()
+
+    if head in ("openqasm", "include"):
+        return ()
+    if head == "creg":
+        return ()  # classical registers only receive measurements
+    if head in ("gate", "opaque"):
+        raise QasmError(f"unsupported construct {head!r}", line)
+
+    condition: tuple[int, int] | None = None
+    if head == "if" or body.startswith("if"):
+        match = _IF_RE.fullmatch(body)
+        if match is None:
+            raise QasmError("malformed if statement", line)
+        reg_name, value_text, body = match.groups()
+        bit_match = _CONDITION_BIT_RE.fullmatch(reg_name)
+        if bit_match is None:
+            raise QasmError(
+                "conditions must use the per-qubit classical "
+                f"registers c<N> (got {reg_name!r})",
+                line,
             )
-            if match is None:
-                raise QasmError(f"cannot parse statement {body!r}", line)
-            gate_name, params_text, operand_text = match.groups()
-            key = gate_name.lower()
-            if key not in _DIRECT:
-                raise QasmError(f"unsupported gate {gate_name!r}", line)
-            params = _parse_params(params_text, line)
-            expected = _PARAM_COUNT.get(key, 0)
-            if len(params) != expected:
-                raise QasmError(
-                    f"gate {gate_name!r} expects {expected} parameters, "
-                    f"got {len(params)}",
-                    line,
-                )
-            canonical = _DIRECT[key]
-            if key in ("cu1", "cp"):
-                pass  # identical semantics
-            operand_groups = _parse_operands(operand_text, registers, line)
-            for qubits in _broadcast(operand_groups, line):
-                gates.append(Gate(canonical, qubits, tuple(params), condition))
-        except QasmError as exc:
-            if exc.column is None and exc.line == line:
-                # Attach where this statement starts, so errors on the
-                # second statement of a shared line point at it and not
-                # at the line's first statement.
-                raise QasmError(exc.message, line, col) from None
-            raise
+        value = int(value_text)
+        if value not in (0, 1):
+            raise QasmError("condition value must be 0 or 1", line)
+        condition = (int(bit_match.group(1)), value)
+        head = body.split(None, 1)[0].lower()
+    if head == "qreg":
+        match = _QREG_RE.fullmatch(body)
+        if match is None:
+            raise QasmError("malformed qreg declaration", line)
+        reg_name, size = match.group(1), int(match.group(2))
+        if reg_name in registers:
+            raise QasmError(f"duplicate register {reg_name!r}", line)
+        offset = sum(reg.size for reg in registers.values())
+        registers[reg_name] = _Register(reg_name, size, offset)
+        return None
+    if condition is not None and head in ("barrier", "measure", "reset"):
+        raise QasmError(f"cannot condition {head!r}", line)
+    if head == "barrier":
+        operands = body[len("barrier"):].strip()
+        groups = _parse_operands(operands, registers, line) if operands else []
+        flat = tuple(q for group in groups for q in group)
+        return _gates("barrier", [flat], (), None, line)
+    if head == "measure":
+        match = _MEASURE_RE.fullmatch(body)
+        if match is None:
+            raise QasmError("malformed measure", line)
+        groups = _parse_operands(match.group(1), registers, line)
+        return _gates(
+            "measure", [(q,) for group in groups for q in group], (), None,
+            line,
+        )
+    if head == "reset":
+        operands = body[len("reset"):].strip()
+        groups = _parse_operands(operands, registers, line)
+        return _gates(
+            "prep_z", [(q,) for group in groups for q in group], (), None,
+            line,
+        )
 
-    circuit = Circuit(total_qubits, name=name)
-    for gate in gates:
-        circuit.append(gate)
-    return circuit
+    # Generic gate application: name[(params)] operands
+    match = _APPLY_RE.fullmatch(body)
+    if match is None:
+        raise QasmError(f"cannot parse statement {body!r}", line)
+    gate_name, params_text, operand_text = match.groups()
+    key = gate_name.lower()
+    if key not in _DIRECT:
+        raise QasmError(f"unsupported gate {gate_name!r}", line)
+    params = _parse_params(params_text, line)
+    expected = _PARAM_COUNT.get(key, 0)
+    if len(params) != expected:
+        raise QasmError(
+            f"gate {gate_name!r} expects {expected} parameters, "
+            f"got {len(params)}",
+            line,
+        )
+    operand_groups = _parse_operands(operand_text, registers, line)
+    return _gates(
+        _DIRECT[key], _broadcast(operand_groups, line), params, condition,
+        line,
+    )
 
 
-def _parse_params(text: str | None, line: int) -> list[float]:
+def _gates(
+    name: str,
+    applications: list[tuple[int, ...]],
+    params: tuple[float, ...],
+    condition: tuple[int, int] | None,
+    line: int,
+) -> tuple[Gate, ...]:
+    """One :class:`Gate` per application; an operand list the gate
+    rejects (wrong arity, a repeated qubit) raises :class:`QasmError`
+    with the gate's own message."""
+    try:
+        return tuple([
+            Gate(name, qubits, params, condition) for qubits in applications
+        ])
+    except ValueError as exc:
+        raise QasmError(str(exc), line) from None
+
+
+def _parse_params(text: str | None, line: int) -> tuple[float, ...]:
     if not text or not text.strip():
-        return []
+        return ()
     params = []
     for chunk in _split_top_level(text):
         parser = _ExprParser(_tokenize(chunk, line), line)
         params.append(parser.expression())
         if parser.peek() is not None:
             raise QasmError(f"trailing tokens in expression {chunk!r}", line)
-    return params
+    return tuple(params)
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -351,7 +408,7 @@ def _parse_operands(
     groups: list[list[int]] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        match = re.fullmatch(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?", chunk)
+        match = _OPERAND_RE.fullmatch(chunk)
         if match is None:
             raise QasmError(f"malformed operand {chunk!r}", line)
         reg_name, index = match.group(1), match.group(2)

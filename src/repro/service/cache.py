@@ -44,6 +44,38 @@ __all__ = ["CompileCache", "CacheStageStore"]
 #: the PID alone collides when two threads of one process write one key.
 _TMP_COUNTER = itertools.count()
 
+#: Values a copy may share: immutable, and all a JSON leaf can be.
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_copy(value):
+    """A deep copy of ``value`` that shares no mutable object with it.
+
+    Built for the JSON-shaped artefacts and stage entries the memory tier
+    holds: dicts and lists are rebuilt, ``str``/``int``/``float``/``bool``
+    and ``None`` are shared (they are immutable), and anything else,
+    a dict key included, goes through :func:`copy.deepcopy`.  The result
+    equals ``copy.deepcopy(value)`` on every JSON-shaped value; unlike
+    it, an object reachable twice inside ``value`` is copied twice, an
+    aliasing JSON cannot express anyway.
+    """
+    cls = type(value)
+    if cls is dict:
+        copied = {}
+        for key, item in value.items():
+            if type(key) is not str:
+                key = copy.deepcopy(key)
+            copied[key] = item if type(item) in _ATOMS else _json_copy(item)
+        return copied
+    if cls is list:
+        return [
+            item if type(item) in _ATOMS else _json_copy(item)
+            for item in value
+        ]
+    if cls in _ATOMS:
+        return value
+    return copy.deepcopy(value)
+
 
 class CompileCache:
     """Content-addressed artefact store with memory and disk tiers.
@@ -159,7 +191,7 @@ class CompileCache:
         # Deep-copied so a caller mutating its dict after (or an engine
         # annotating a returned artefact) cannot desynchronise the
         # memory tier from the bytes on disk.
-        self._memory[key] = copy.deepcopy(artifact)
+        self._memory[key] = _json_copy(artifact)
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             evicted, _ = self._memory.popitem(last=False)

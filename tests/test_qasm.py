@@ -156,6 +156,29 @@ class TestParserErrors:
         with pytest.raises(QasmError, match="mismatched"):
             parse_qasm("qreg a[2]; qreg b[3]; cx a,b;")
 
+    @pytest.mark.parametrize(
+        "statement, problem",
+        [
+            ("cx q[0];", "gate 'cnot' expects 2 qubits, got 1"),
+            ("h q[0],q[1];", "gate 'h' expects 1 qubits, got 2"),
+            ("ccx q[0],q[1];", "gate 'toffoli' expects 3 qubits, got 2"),
+            ("cx q[0],q[0];", "gate 'cnot' has duplicate qubits (0, 0)"),
+            ("barrier q[0],q[0];",
+             "gate 'barrier' has duplicate qubits (0, 0)"),
+            # Broadcast of a 2-qubit gate over one register.
+            ("cx q;", "gate 'cnot' expects 2 qubits, got 1"),
+        ],
+    )
+    def test_operands_the_gate_rejects(self, statement, problem):
+        # Regression: these escaped as Gate's bare ValueError, with no
+        # position, so callers that catch QasmError crashed on them.
+        with pytest.raises(QasmError) as excinfo:
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n  {statement}\n")
+        err = excinfo.value
+        assert (err.line, err.column) == (3, 3)
+        assert err.message == problem
+        assert str(err) == f"line 3, col 3: {problem}"
+
 
 class TestWriters:
     def test_openqasm_roundtrip_preserves_gates(self, ghz3):

@@ -243,6 +243,31 @@ class TestBatchErrors:
         assert "0/1 ok" in text
         assert "error:" in text
 
+    def test_gate_with_wrong_operands_fails_only_its_job(self, tmp_path):
+        # Regression: "cx q[0];" crashed the whole batch with a traceback
+        # instead of reporting that one job as invalid.
+        (tmp_path / "good.qasm").write_text(to_openqasm(ghz(3)))
+        (tmp_path / "bad.qasm").write_text(
+            "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n"
+        )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"circuits": ["good.qasm", "bad.qasm"], "devices": ["ibm_qx4"]}
+        ))
+        report_path = tmp_path / "r.json"
+        code, text = _run(
+            ["batch", str(path), "--jobs", "1", "--json", str(report_path)]
+        )
+        assert code == 4
+        assert "1/2 ok" in text
+        jobs = {
+            j["job_id"].split("@")[0]: j
+            for j in json.loads(report_path.read_text())["jobs"]
+        }
+        assert jobs["good.qasm"]["status"] == "ok"
+        assert jobs["bad.qasm"]["status"] == "invalid"
+        assert "line 3" in jobs["bad.qasm"]["error"]
+
 
 class TestBatchCorpus:
     def test_perf_corpus_limited(self, tmp_path):

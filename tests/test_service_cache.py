@@ -278,6 +278,52 @@ class TestCompileCacheTiers:
             "metrics": {"added_swaps": 3}, "metadata": {},
         }
 
+    def test_put_copies_nested_lists(self, tmp_path):
+        cache = CompileCache(directory=tmp_path)
+        artifact = {"schedule": {"items": [
+            {"gate": {"name": "cnot", "qubits": [0, 1]}, "start": 0},
+        ]}}
+        cache.put("nested", artifact)
+        artifact["schedule"]["items"][0]["gate"]["qubits"].append(7)
+        artifact["schedule"]["items"].append({"start": 9})
+
+        from_memory, _ = cache.lookup("nested")
+        from_disk, tier = CompileCache(directory=tmp_path).lookup("nested")
+        assert tier == "disk"
+        assert from_memory == from_disk == {"schedule": {"items": [
+            {"gate": {"name": "cnot", "qubits": [0, 1]}, "start": 0},
+        ]}}
+
+    def test_put_stage_stores_copy(self, tmp_path):
+        cache = CompileCache(directory=tmp_path)
+        entry = {"placement": {"mapping": [2, 0, 1]}, "swaps": [[0, 1]]}
+        cache.put_stage("placement", "k", entry)
+        entry["placement"]["mapping"][0] = 5
+        entry["swaps"][0].append(2)
+        entry["extra"] = True
+
+        from_memory = cache.lookup_stage("placement", "k")
+        from_disk = CompileCache(directory=tmp_path).lookup_stage(
+            "placement", "k"
+        )
+        assert from_memory == from_disk == {
+            "placement": {"mapping": [2, 0, 1]}, "swaps": [[0, 1]],
+        }
+
+    def test_put_deep_copies_non_json_values(self, tmp_path):
+        # A tuple is not a JSON type: it is still copied deeply, so a
+        # list inside it cannot change under the memory tier either.
+        cache = CompileCache(directory=tmp_path)
+        edges = ([0, 1], [1, 2])
+        cache.put("tuple", {"device": {"edges": edges}})
+        edges[0].append(9)
+
+        from_memory, _ = cache.lookup("tuple")
+        from_disk, _ = CompileCache(directory=tmp_path).lookup("tuple")
+        assert from_memory == {"device": {"edges": ([0, 1], [1, 2])}}
+        # On disk the tuple is a JSON array: both tiers hold one text.
+        assert canonical_json(from_memory) == canonical_json(from_disk)
+
 
 class TestCacheCorrectness:
     """Cached artefacts must be byte-identical to fresh compiles."""

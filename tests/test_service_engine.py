@@ -71,6 +71,17 @@ class TestSubmit:
         assert res.status == "invalid" and not res.ok
         assert res.artifact is None and res.error
 
+    def test_gate_with_wrong_operands_is_an_invalid_job(self):
+        # Regression: "cx q[0];" made CompileJob.create raise Gate's
+        # ValueError instead of keeping the text for an "invalid" result.
+        qasm = "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n"
+        job = CompileJob.create(qasm, get_device("ibm_qx4"))
+        assert job.qasm == qasm
+        assert len(job.key()) == 64
+        res = CompileService(CompileCache()).submit(job)
+        assert res.status == "invalid" and not res.ok
+        assert "line 3" in res.error and "expects 2 qubits" in res.error
+
     def test_no_cache_service(self):
         service = CompileService(cache=None)
         a = service.submit(_job(seed=4))
