@@ -18,8 +18,10 @@ OpenQASM 2.0 subset those gate lists use:
 Custom ``gate`` definitions and ``opaque`` are outside the subset and
 raise :class:`QasmError` with a position, as does every other malformed
 statement, including a gate given the wrong number of operands or the
-same operand twice.  A parameter expression that divides by zero still
-raises :class:`ZeroDivisionError`.
+same operand twice, and a parameter expression that divides by zero,
+nests more than :data:`MAX_EXPRESSION_DEPTH` parentheses and signs
+deep, or reaches a value that is not finite (``1e400``, ``inf``,
+``nan``).
 
 Cost model.  The compile service stores every artefact and stage entry
 as OpenQASM text, so each cache hit pays for a parse.  A call scans the
@@ -48,7 +50,12 @@ from dataclasses import dataclass
 from ..core.circuit import Circuit
 from ..core.gates import Gate
 
-__all__ = ["QasmError", "parse_qasm"]
+__all__ = ["MAX_EXPRESSION_DEPTH", "QasmError", "parse_qasm"]
+
+#: Deepest nesting of parentheses and unary signs a parameter expression
+#: may use.  The writer never nests; the bound keeps a hostile source
+#: from exhausting the interpreter's stack in the recursive descent.
+MAX_EXPRESSION_DEPTH = 100
 
 #: OpenQASM gate names handled natively, mapped to canonical names.
 #: Includes the toolkit's extension spellings the writer emits for
@@ -133,12 +140,28 @@ def _tokenize(text: str, line: int) -> list[str]:
 
 
 class _ExprParser:
-    """Recursive-descent parser for parameter expressions."""
+    """Recursive-descent parser for parameter expressions.
+
+    Every value it produces, down to each number and each intermediate
+    result, is finite: a division by zero, an overflow, ``inf`` or
+    ``nan`` raises :class:`QasmError`, as does nesting deeper than
+    :data:`MAX_EXPRESSION_DEPTH`.
+    """
 
     def __init__(self, tokens: list[str], line: int):
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0
+
+    def finite(self, value: float) -> float:
+        if not math.isfinite(value):
+            raise QasmError(
+                f"parameter expression reaches {value!r}, which is not "
+                "finite",
+                self.line,
+            )
+        return value
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -160,7 +183,7 @@ class _ExprParser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.finite(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self) -> float:
@@ -168,25 +191,40 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            if op == "*":
+                value = self.finite(value * rhs)
+            elif rhs == 0:
+                raise QasmError("division by zero in parameter", self.line)
+            else:
+                value = self.finite(value / rhs)
         return value
 
     def factor(self) -> float:
         token = self.take()
-        if token == "-":
-            return -self.factor()
-        if token == "+":
-            return self.factor()
-        if token == "(":
-            value = self.expression()
-            self.expect(")")
+        if token in ("-", "+", "("):
+            self.depth += 1
+            if self.depth > MAX_EXPRESSION_DEPTH:
+                raise QasmError(
+                    "parameter expression nests deeper than "
+                    f"{MAX_EXPRESSION_DEPTH} levels",
+                    self.line,
+                )
+            if token == "(":
+                value = self.expression()
+                self.expect(")")
+            else:
+                value = self.factor()
+                if token == "-":
+                    value = -value
+            self.depth -= 1
             return value
         if token == "pi":
             return math.pi
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise QasmError(f"bad expression token {token!r}", self.line)
+        return self.finite(value)
 
 
 def _statements(source: str) -> Iterator[tuple[int, int, str]]:
@@ -231,9 +269,10 @@ def parse_qasm(source: str) -> Circuit:
     """Parse OpenQASM 2.0 ``source`` into a :class:`Circuit`.
 
     Raises:
-        QasmError: on syntax errors, unsupported constructs, and gates
-            whose operands do not fit them; always with the offending
-            statement's line and column.
+        QasmError: on syntax errors, unsupported constructs, gates
+            whose operands do not fit them, and parameter expressions
+            that divide by zero, nest too deep or are not finite; always
+            with the offending statement's line and column.
     """
     registers: dict[str, _Register] = {}
     gates: list[Gate] = []

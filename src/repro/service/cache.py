@@ -8,6 +8,15 @@ memory.  Corrupt or unreadable disk entries count as misses and are
 deleted best-effort — the cache is always allowed to forget, never to
 return wrong bytes.
 
+Each caller owns the artefact it gets: :meth:`CompileCache.put` stores
+a copy and :meth:`CompileCache.lookup` returns one, so no caller's edit
+can reach the memory tier, another caller, or disagree with the bytes
+on disk.  Beside an artefact the memory tier may hold the
+:class:`~repro.service.artifact.ResultGates` of the compile that
+rendered it (:meth:`CompileCache.held_gates`); the engine supplies them
+for inline compiles, so a memory hit can be rebuilt without parsing any
+QASM.  Disk entries and pool results hold none.
+
 Keys come from :mod:`repro.service.keys`; because the key commits to
 circuit, device, pass config and library version, entries never need
 explicit invalidation — a change to any input simply addresses a
@@ -36,6 +45,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..obs import trace_span
+from .artifact import ResultGates
 from .keys import stage_key
 
 __all__ = ["CompileCache", "CacheStageStore"]
@@ -53,11 +63,12 @@ def _json_copy(value):
 
     Built for the JSON-shaped artefacts and stage entries the memory tier
     holds: dicts and lists are rebuilt, ``str``/``int``/``float``/``bool``
-    and ``None`` are shared (they are immutable), and anything else,
-    a dict key included, goes through :func:`copy.deepcopy`.  The result
-    equals ``copy.deepcopy(value)`` on every JSON-shaped value; unlike
-    it, an object reachable twice inside ``value`` is copied twice, an
-    aliasing JSON cannot express anyway.
+    and ``None`` are shared (they are immutable), and so is a tuple of
+    them, such as a device edge, as :func:`copy.deepcopy` would share it.
+    Anything else, a dict key included, goes through
+    :func:`copy.deepcopy`.  The result equals ``copy.deepcopy(value)`` on
+    every JSON-shaped value; unlike it, an object reachable twice inside
+    ``value`` is copied twice, an aliasing JSON cannot express anyway.
     """
     cls = type(value)
     if cls is dict:
@@ -68,11 +79,17 @@ def _json_copy(value):
             copied[key] = item if type(item) in _ATOMS else _json_copy(item)
         return copied
     if cls is list:
+        # Lists of atoms (a schedule's positions and timings) are
+        # checked and copied at C speed.
+        if _ATOMS.issuperset(map(type, value)):
+            return value.copy()
         return [
             item if type(item) in _ATOMS else _json_copy(item)
             for item in value
         ]
-    if cls in _ATOMS:
+    if cls in _ATOMS or (
+        cls is tuple and _ATOMS.issuperset(map(type, value))
+    ):
         return value
     return copy.deepcopy(value)
 
@@ -95,7 +112,10 @@ class CompileCache:
     ) -> None:
         self.max_memory_entries = int(max_memory_entries)
         self.directory = Path(directory) if directory is not None else None
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        # key -> (entry, the compile's gates or None).
+        self._memory: OrderedDict[
+            str, tuple[dict, ResultGates | None]
+        ] = OrderedDict()
         self._counters: Counter = Counter()
         self._stage_counters: dict[str, Counter] = {}
 
@@ -124,17 +144,18 @@ class CompileCache:
     def lookup(self, key: str) -> tuple[dict | None, str | None]:
         """``(artifact, tier)`` for ``key``; ``(None, None)`` on miss.
 
-        The tier (``"memory"`` or ``"disk"``) is returned *with* the
-        artefact so concurrent callers can never misattribute a hit.
-        (The stateful ``last_tier()`` accessor this replaced — a shared
-        slot any interleaved lookup could overwrite — was deprecated in
-        the tracing release and has been removed.)
+        The artefact is the caller's own copy.  The tier (``"memory"``
+        or ``"disk"``) is returned *with* the artefact so concurrent
+        callers can never misattribute a hit.  (The stateful
+        ``last_tier()`` accessor this replaced — a shared slot any
+        interleaved lookup could overwrite — was deprecated in the
+        tracing release and has been removed.)
         """
-        entry = self._memory.get(key)
-        if entry is not None:
+        held = self._memory.get(key)
+        if held is not None:
             self._memory.move_to_end(key)
             self._counters["memory_hits"] += 1
-            return entry, "memory"
+            return _json_copy(held[0]), "memory"
         if self.directory is not None:
             path = self._disk_path(key)
             try:
@@ -159,10 +180,24 @@ class CompileCache:
         """The cached artefact for ``key``, or ``None`` on miss."""
         return self.lookup(key)[0]
 
-    def put(self, key: str, artifact: dict) -> None:
-        """Store ``artifact`` under ``key`` in every enabled tier."""
+    def held_gates(self, key: str) -> ResultGates | None:
+        """The compile's gates held beside ``key``'s memory-tier entry,
+        or ``None`` (no entry, or none were supplied).  Not a lookup:
+        counters and recency are untouched."""
+        held = self._memory.get(key)
+        return held[1] if held is not None else None
+
+    def put(
+        self, key: str, artifact: dict, gates: ResultGates | None = None
+    ) -> None:
+        """Store ``artifact`` under ``key`` in every enabled tier.
+
+        ``gates`` are the :func:`~repro.service.artifact.result_gates`
+        of the compile that rendered ``artifact``; the memory tier holds
+        them beside it, the disk tier never sees them.
+        """
         self._counters["puts"] += 1
-        self._remember(key, artifact)
+        self._remember(key, artifact, gates)
         if self.directory is not None:
             self._write_disk(self._disk_path(key), artifact, self._counters)
 
@@ -185,13 +220,15 @@ class CompileCache:
             except OSError:
                 pass
 
-    def _remember(self, key: str, artifact: dict) -> None:
+    def _remember(
+        self, key: str, artifact: dict, gates: ResultGates | None = None
+    ) -> None:
         if self.max_memory_entries <= 0:
             return
         # Deep-copied so a caller mutating its dict after (or an engine
         # annotating a returned artefact) cannot desynchronise the
         # memory tier from the bytes on disk.
-        self._memory[key] = _json_copy(artifact)
+        self._memory[key] = (_json_copy(artifact), gates)
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             evicted, _ = self._memory.popitem(last=False)
@@ -212,11 +249,11 @@ class CompileCache:
         """
         counters = self._stage(stage)
         mem_key = self._stage_mem_key(stage, key)
-        entry = self._memory.get(mem_key)
-        if entry is not None:
+        held = self._memory.get(mem_key)
+        if held is not None:
             self._memory.move_to_end(mem_key)
             counters["memory_hits"] += 1
-            return entry
+            return held[0]
         if self.directory is not None:
             path = self._stage_path(stage, key)
             try:

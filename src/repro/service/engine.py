@@ -69,8 +69,13 @@ from ..resilience.faults import (
     fault_point,
     use_faults,
 )
-from .artifact import artifact_metrics, result_to_artifact, validate_artifact
-from .cache import CacheStageStore, CompileCache
+from .artifact import (
+    artifact_metrics,
+    result_gates,
+    result_to_artifact,
+    validate_artifact,
+)
+from .cache import CacheStageStore, CompileCache, _json_copy
 from .jobs import CompileJob, JobResult
 from .pool import WarmPool
 
@@ -116,7 +121,11 @@ def run_payload(
       the stage cache.
 
     The outcome's ``status`` is one of ``ok | degraded | timeout |
-    crashed | invalid`` — the same taxonomy the parent reports.
+    crashed | invalid`` — the same taxonomy the parent reports.  A
+    completed compile run without a fault plan also carries ``gates``,
+    its :func:`~repro.service.artifact.result_gates`, which the inline
+    caller hands to the cache and the :class:`JobResult`; pool workers
+    drop them and ship the artefact alone.
 
     Args:
         payload: A :meth:`CompileJob.payload` dict, possibly augmented.
@@ -213,6 +222,10 @@ def run_payload(
             "artifact": artifact,
             "compile_seconds": time.perf_counter() - t0,
         }
+        if plan is None:
+            # A fault plan may have corrupted the artefact, which these
+            # gates would then contradict.
+            outcome["gates"] = result_gates(result)
     except DeadlineExceeded as exc:
         outcome = {
             "status": "timeout",
@@ -568,11 +581,13 @@ class CompileService:
                 key=keys[i],
                 status=base.status,
                 cache_hit="batch" if base.ok else base.cache_hit,
-                artifact=base.artifact,
+                # Each result owns its artefact, as every cache hit does.
+                artifact=_json_copy(base.artifact),
                 error=base.error,
                 attempts=base.attempts,
                 metrics={**base.metrics, "queue_wait_s": 0.0, "compile_s": 0.0},
                 metadata=jobs[i].metadata,
+                gates=base.gates,
             )
             emit(i, "done", results[i])
 
@@ -968,6 +983,7 @@ class CompileService:
             artifact=artifact,
             metrics=metrics,
             metadata=job.metadata,
+            gates=self.cache.held_gates(key) if tier == "memory" else None,
         )
 
     def _finish(
@@ -1030,9 +1046,10 @@ class CompileService:
                 },
                 metadata=job.metadata,
             )
+        gates = outcome.get("gates")
         if status == "ok":
             if self.cache is not None:
-                self.cache.put(key, artifact)
+                self.cache.put(key, artifact, gates)
         else:
             # Degraded artefacts answer under a *different* configuration
             # than the key commits to — caching one would serve fallback
@@ -1055,6 +1072,7 @@ class CompileService:
             attempts=attempts,
             metrics=metrics,
             metadata=job.metadata,
+            gates=gates,
         )
 
     # ------------------------------------------------------------------

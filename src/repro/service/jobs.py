@@ -18,8 +18,8 @@ from typing import Mapping
 from ..core.circuit import Circuit
 from ..core.pipeline import CompilationResult, PassConfig
 from ..devices.device import Device
-from ..qasm import QasmError
-from .artifact import artifact_to_result
+from ..qasm import QasmError, to_openqasm
+from .artifact import ResultGates, artifact_to_result
 from .keys import canonical_qasm, compute_key, device_fingerprint
 
 __all__ = ["CompileJob", "JOB_STATUSES", "JobResult"]
@@ -33,7 +33,10 @@ class CompileJob:
     """One compile request for the service.
 
     Attributes:
-        qasm: Canonical OpenQASM text of the input circuit.
+        qasm: OpenQASM text of the input circuit.  :meth:`create` stores
+            it as :class:`~repro.service.keys.CanonicalQasm`, which
+            :meth:`key` uses as it is; plain text is canonicalised for
+            every key.
         device: Device description in ``Device.to_dict`` form.
         config: Pass configuration (hashable, serialisable).
         job_id: Caller-chosen identifier (auto-generated when empty);
@@ -96,7 +99,9 @@ class CompileJob:
             # Keep the raw text: the compile itself will fail and report
             # the parse error as this job's JobResult instead of making
             # job construction throw.
-            qasm = circuit
+            qasm = (
+                circuit if isinstance(circuit, str) else to_openqasm(circuit)
+            )
         return cls(
             qasm=qasm,
             device=(
@@ -163,6 +168,11 @@ class JobResult:
         metrics: Per-job numbers: ``queue_wait_s``, ``compile_s``,
             ``total_s``, and the artefact's gate/depth metrics.
         metadata: The job's metadata, passed through.
+        gates: The :class:`~repro.service.artifact.ResultGates` of the
+            compile that rendered ``artifact``, when the service still
+            holds them (inline compiles and their memory hits), else
+            ``None``.  Left out of ``repr``, equality and
+            :meth:`to_dict`.
     """
 
     job_id: str
@@ -174,6 +184,9 @@ class JobResult:
     attempts: int = 1
     metrics: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+    gates: ResultGates | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -188,6 +201,12 @@ class JobResult:
     def result(self) -> CompilationResult:
         """Rebuild the full :class:`CompilationResult`.
 
+        Every call returns fresh containers, so editing one result never
+        reaches another.  When :attr:`gates` are held, the circuits and
+        the schedule are built from them, not parsed from
+        :attr:`artifact`, so edits a caller made to the QASM or the
+        schedule of its copy of ``artifact`` are not read back.
+
         Raises:
             RuntimeError: when the job produced no artefact.
         """
@@ -195,7 +214,7 @@ class JobResult:
             raise RuntimeError(
                 f"job {self.job_id} has no artifact (status={self.status})"
             )
-        return artifact_to_result(self.artifact)
+        return artifact_to_result(self.artifact, self.gates)
 
     def to_dict(self, *, include_artifact: bool = False) -> dict:
         """JSON-able report row (artefact omitted by default: it is

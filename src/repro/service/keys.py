@@ -13,6 +13,10 @@ Canonical forms:
   :func:`repro.qasm.to_openqasm` after a parse round-trip, which
   normalises whitespace, comments, register names and parameter
   spellings.  Semantically identical sources therefore share a key.
+  :func:`canonical_qasm` returns that text as a :class:`CanonicalQasm`,
+  and hands such text back unchanged, so a job built by
+  :meth:`repro.service.jobs.CompileJob.create` is canonicalised once,
+  not again for every key.
 * **device** — :meth:`repro.devices.device.Device.to_dict`, serialised
   as minified sorted-key JSON.
 * **pass config** — :meth:`repro.core.pipeline.PassConfig.to_dict`,
@@ -34,6 +38,7 @@ from ..devices.device import Device
 from ..qasm import QasmError, parse_qasm, to_openqasm
 
 __all__ = [
+    "CanonicalQasm",
     "canonical_json",
     "canonical_qasm",
     "device_fingerprint",
@@ -42,7 +47,7 @@ __all__ = [
 ]
 
 #: Bump when the artefact dict layout changes incompatibly.
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 
 #: Bump when any *stage* entry layout changes incompatibly
 #: (independent of the full-artefact schema: the two evolve separately).
@@ -54,18 +59,36 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def canonical_qasm(source: str | Circuit) -> str:
+class CanonicalQasm(str):
+    """OpenQASM text that :func:`canonical_qasm` produced.
+
+    The type is the proof, so build one only through
+    :func:`canonical_qasm`.  Every edit of the text (slicing, ``strip``,
+    concatenation, ...) returns a plain ``str``, so the mark never
+    outlives the text it vouches for.  It survives pickling, so a job
+    shipped to a pool worker keeps it.
+    """
+
+    __slots__ = ()
+
+
+def canonical_qasm(source: str | Circuit) -> CanonicalQasm:
     """The normal-form OpenQASM text of ``source``.
 
     Accepts raw QASM text or a :class:`Circuit`; either way the result
-    is ``to_openqasm`` applied to the parsed circuit, so formatting
-    differences in the input never produce distinct cache keys.
+    is ``to_openqasm`` applied to the parsed text (a circuit is written
+    first), so formatting differences in the input never produce
+    distinct cache keys.  Text that is already a :class:`CanonicalQasm`
+    is returned unchanged, without a parse.
 
     Raises:
-        repro.qasm.QasmError: when ``source`` is text and unparsable.
+        repro.qasm.QasmError: when the text is unparsable.
     """
-    circuit = parse_qasm(source) if isinstance(source, str) else source
-    return to_openqasm(circuit)
+    if isinstance(source, CanonicalQasm):
+        return source
+    if not isinstance(source, str):
+        source = to_openqasm(source)
+    return CanonicalQasm(to_openqasm(parse_qasm(source)))
 
 
 def device_fingerprint(device: Device | dict) -> str:
@@ -90,6 +113,8 @@ def compute_key(
         # Unparsable text still needs a deterministic key so the batch
         # engine can report the parse failure as a JobResult; it is
         # never cached (the compile fails before producing an artefact).
+        if not isinstance(source, str):
+            source = to_openqasm(source)
         qasm = f"<unparsable>{source}"
     payload = canonical_json(
         {

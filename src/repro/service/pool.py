@@ -110,6 +110,9 @@ def _worker_main(worker_id: int, task_queue, out_queue):
             outcome = run_payload(
                 payload, dispatch_mono=dispatch_mono, trace=trace
             )
+            # Only the artefact crosses the process boundary: the parent
+            # decodes pool results from it.
+            outcome.pop("gates", None)
             jobs_run += 1
             out_queue.put(("done", worker_id, token, outcome))
 

@@ -263,6 +263,21 @@ class TestCliErrors:
             "gate 'cnot' expects 2 qubits, got 1\n"
         )
 
+    def test_parameter_division_by_zero_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        # Regression: this printed a ZeroDivisionError traceback and
+        # exited 1.
+        path = tmp_path / "bad.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[2];\nrx(1/0) q[0];\n")
+        code, _ = _run(["map", str(path), "--device", "ibm_qx4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro: error: invalid QASM in {path}: line 3, col 1: "
+            "division by zero in parameter\n"
+        )
+
     def test_simulate_missing_file(self, capsys):
         code, text = _run(["simulate", "/nonexistent/x.qasm"])
         assert code == 2

@@ -179,6 +179,44 @@ class TestParserErrors:
         assert err.message == problem
         assert str(err) == f"line 3, col 3: {problem}"
 
+    @pytest.mark.parametrize(
+        "expression, problem",
+        [
+            ("1/0", "division by zero in parameter"),
+            ("-pi/0.0", "division by zero in parameter"),
+            ("(" * 5000 + "1", "parameter expression nests deeper than 100 "
+             "levels"),
+            ("-" * 5000 + "1", "parameter expression nests deeper than 100 "
+             "levels"),
+            ("1e400", "parameter expression reaches inf, which is not "
+             "finite"),
+            ("inf", "parameter expression reaches inf, which is not finite"),
+            ("-nan", "parameter expression reaches nan, which is not finite"),
+            ("1e300*1e300/1e300", "parameter expression reaches inf, which "
+             "is not finite"),
+        ],
+        ids=["div0", "neg-div0", "parens", "signs", "1e400", "inf", "nan",
+             "overflow"],
+    )
+    def test_parameter_arithmetic_errors_are_positioned(
+        self, expression, problem
+    ):
+        # Regression: these escaped as ZeroDivisionError or
+        # RecursionError, or parsed to a gate with an infinite or NaN
+        # angle that compiled "ok" into the native output.
+        with pytest.raises(QasmError) as excinfo:
+            parse_qasm(
+                f"OPENQASM 2.0;\nqreg q[2];\nh q[1]; rx({expression}) q[0];\n"
+            )
+        err = excinfo.value
+        assert (err.line, err.column) == (3, 9)
+        assert err.message == problem
+
+    def test_parameter_nesting_up_to_the_bound_parses(self):
+        signs = "-" * 100
+        circuit = parse_qasm(f"qreg q[1];\nrx({signs}0.5) q[0];\n")
+        assert circuit.gates[0].params == (0.5,)
+
 
 class TestWriters:
     def test_openqasm_roundtrip_preserves_gates(self, ghz3):

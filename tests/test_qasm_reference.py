@@ -9,10 +9,15 @@ On every input below both must return the same circuit, compared by
 that turns into ``0.0`` counts as a difference), or raise the same
 exception type with the same message.
 
-The one deliberate difference: a gate given operands it rejects (wrong
-arity, a repeated qubit) made the earlier parser leak ``Gate``'s bare
-``ValueError``; it is now a :class:`QasmError` with the same text plus
-the statement's position.
+Two deliberate differences:
+
+* a gate given operands it rejects (wrong arity, a repeated qubit) made
+  the earlier parser leak ``Gate``'s bare ``ValueError``; it is now a
+  :class:`QasmError` with the same text plus the statement's position;
+* parameter arithmetic that divided by zero or recursed too deep made
+  it leak ``ZeroDivisionError`` or ``RecursionError``, and a parameter
+  that was not finite (``1e400``, ``inf``, ``nan``) parsed; each is now
+  a positioned :class:`QasmError`.
 
 Inputs: writer output of random circuits, the same statements
 hand-formatted, sources that declare a second register between gates,
@@ -162,6 +167,21 @@ def _outcome(parse, source: str) -> tuple:
     )
 
 
+#: Messages of the arithmetic errors the earlier parser did not catch.
+_ARITHMETIC = re.compile(
+    r"line \d+, col \d+: (division by zero in parameter"
+    r"|parameter expression nests deeper than \d+ levels"
+    r"|parameter expression reaches .+, which is not finite)"
+)
+
+
+def _not_finite(outcome: tuple) -> bool:
+    """A parse whose gates carry an infinite or NaN parameter."""
+    return outcome[0] == "parsed" and any(
+        re.search(r"\b(inf|nan)\b", gate) for gate in outcome[3]
+    )
+
+
 def assert_parses_as_before(source: str) -> None:
     expected = _outcome(qasm_reference.parse_qasm, source)
     actual = _outcome(parse_qasm, source)
@@ -172,6 +192,14 @@ def assert_parses_as_before(source: str) -> None:
         assert re.fullmatch(
             rf"line \d+, col \d+: {re.escape(expected[2])}", actual[2]
         ), actual[2]
+        return
+    if (
+        expected[0] == "raised"
+        and expected[1] in (ZeroDivisionError, RecursionError)
+    ) or _not_finite(expected):
+        # Parameter arithmetic, now checked and reported with a position.
+        assert actual[0] == "raised" and actual[1] is QasmError, actual
+        assert _ARITHMETIC.fullmatch(actual[2]), actual[2]
         return
     if expected[0] == "raised":
         assert actual[:3] == expected[:3]
@@ -216,5 +244,9 @@ def test_second_register_sources_parse_as_before(source):
 @settings(**_SETTINGS)
 @example("OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[2];\nrx(1/0) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[2];\nrx(1e+3000) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx(inf) q[0];\nrx(nan) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx(" + "-" * 5000 + "1) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx(" + "(" * 5000 + "1) q[0];\n")
 def test_mutated_sources_parse_as_before(source):
     assert_parses_as_before(source)

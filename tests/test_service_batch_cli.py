@@ -269,6 +269,38 @@ class TestBatchErrors:
         assert "line 3" in jobs["bad.qasm"]["error"]
 
 
+    @pytest.mark.parametrize(
+        "param", ["1/0", "-" * 5000 + "1", "1e400"],
+        ids=["div0", "signs", "1e400"],
+    )
+    def test_parameter_arithmetic_error_fails_only_its_job(
+        self, tmp_path, param
+    ):
+        # Regression: these crashed the whole batch with a traceback, or
+        # (1e400) compiled "ok" with an infinite angle.
+        (tmp_path / "good.qasm").write_text(to_openqasm(ghz(3)))
+        (tmp_path / "bad.qasm").write_text(
+            f"OPENQASM 2.0;\nqreg q[2];\nrx({param}) q[0];\n"
+        )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"circuits": ["good.qasm", "bad.qasm"], "devices": ["ibm_qx4"]}
+        ))
+        report_path = tmp_path / "r.json"
+        code, text = _run(
+            ["batch", str(path), "--jobs", "1", "--json", str(report_path)]
+        )
+        assert code == 4
+        assert "1/2 ok" in text
+        jobs = {
+            j["job_id"].split("@")[0]: j
+            for j in json.loads(report_path.read_text())["jobs"]
+        }
+        assert jobs["good.qasm"]["status"] == "ok"
+        assert jobs["bad.qasm"]["status"] == "invalid"
+        assert "line 3, col 1" in jobs["bad.qasm"]["error"]
+
+
 class TestBatchCorpus:
     def test_perf_corpus_limited(self, tmp_path):
         report_path = tmp_path / "r.json"

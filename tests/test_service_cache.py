@@ -278,6 +278,29 @@ class TestCompileCacheTiers:
             "metrics": {"added_swaps": 3}, "metadata": {},
         }
 
+    def test_lookups_return_copies(self):
+        # Regression: lookup returned the stored entry itself, so one
+        # caller's edit showed up in every later lookup of the key.
+        cache = CompileCache()
+        cache.put("k", {"metrics": {"native_gates": 7}, "order": [0, 1]})
+        first, _ = cache.lookup("k")
+        first["metrics"]["native_gates"] = -1
+        first["order"].append(2)
+        second, tier = cache.lookup("k")
+        assert tier == "memory"
+        assert second == {"metrics": {"native_gates": 7}, "order": [0, 1]}
+
+    def test_held_gates_stay_in_memory(self, tmp_path):
+        cache = CompileCache(directory=tmp_path)
+        gates = object()
+        cache.put("k", {"v": 1}, gates)
+        assert cache.held_gates("k") is gates
+        assert cache.stats()["memory_hits"] == 0  # not a lookup
+        fresh = CompileCache(directory=tmp_path)
+        assert fresh.lookup("k") == ({"v": 1}, "disk")
+        assert fresh.held_gates("k") is None
+        assert cache.held_gates("missing") is None
+
     def test_put_copies_nested_lists(self, tmp_path):
         cache = CompileCache(directory=tmp_path)
         artifact = {"schedule": {"items": [

@@ -16,6 +16,7 @@ from repro.qasm import to_openqasm
 from repro.resilience import FaultPlan, FaultSpec
 from repro.service import CompileCache, CompileJob, CompileService
 from repro.service.engine import run_payload
+from repro.service.keys import canonical_json
 from repro.workloads import random_circuit
 
 
@@ -82,6 +83,59 @@ class TestSubmit:
         assert res.status == "invalid" and not res.ok
         assert "line 3" in res.error and "expects 2 qubits" in res.error
 
+    @pytest.mark.parametrize(
+        "param", ["1/0", "-" * 5000 + "1", "1e400", "inf", "nan"],
+        ids=["div0", "signs", "1e400", "inf", "nan"],
+    )
+    def test_parameter_arithmetic_error_is_an_invalid_job(self, param):
+        # Regression: CompileJob.create and key() raised ZeroDivisionError
+        # or RecursionError, and a non-finite angle compiled "ok".
+        qasm = f"OPENQASM 2.0;\nqreg q[2];\nrx({param}) q[0];\n"
+        job = CompileJob.create(qasm, get_device("ibm_qx5"))
+        assert job.qasm == qasm
+        assert len(job.key()) == 64
+        res = CompileService(CompileCache()).submit(job)
+        assert res.status == "invalid" and res.artifact is None
+        assert res.error.startswith("QasmError: line 3, col 1: ")
+
+    def test_memory_hit_artifact_is_the_callers_own(self):
+        # Regression: a memory hit handed out the cache's own dict, so a
+        # caller's edit reached every later hit (JobResult.metrics and
+        # result() included) while the disk tier kept the true bytes.
+        service = CompileService(CompileCache())
+        first = service.submit(_job(seed=5))
+        hit = service.submit(_job(seed=5))
+        assert hit.cache_hit == "memory"
+        hit.artifact["metrics"]["native_gates"] = -1
+        hit.artifact["routing"]["added_swaps"] = 999
+        third = service.submit(_job(seed=5))
+        assert third.cache_hit == "memory"
+        assert third.artifact == first.artifact
+        assert third.metrics["native_gates"] == \
+            first.artifact["metrics"]["native_gates"] > 0
+        assert third.result().added_swaps == \
+            first.artifact["routing"]["added_swaps"]
+
+    def test_memory_hit_result_is_fresh(self):
+        # result() on a memory hit is built around the compile's held
+        # gates: editing one result's containers reaches no later hit.
+        service = CompileService(CompileCache())
+        first = service.submit(_job(seed=6))
+        expected = first.result()
+        hit = service.submit(_job(seed=6))
+        assert hit.cache_hit == "memory" and hit.gates is not None
+        edited = hit.result()
+        edited.native.gates.clear()
+        edited.routed.circuit.gates.reverse()
+        edited.original.gates.pop()
+        edited.schedule.items.clear()
+        again = service.submit(_job(seed=6)).result()
+        assert again.native == expected.native
+        assert again.routed.circuit == expected.routed.circuit
+        assert again.original == expected.original
+        assert again.schedule.items == expected.schedule.items
+        assert len(again.schedule.items) == len(again.native.gates) > 0
+
     def test_no_cache_service(self):
         service = CompileService(cache=None)
         a = service.submit(_job(seed=4))
@@ -106,6 +160,17 @@ class TestSubmitBatch:
         assert results[1].cache_hit == "batch"
         assert results[0].artifact == results[1].artifact
         assert service.stats()["service"]["batch_dedup_hits"] == 1
+
+    def test_in_batch_duplicates_own_their_artifacts(self):
+        # Regression: a deduplicated job shared its twin's artefact dict.
+        service = CompileService(CompileCache())
+        jobs = [_job(seed=9, job_id="a"), _job(seed=9, job_id="b")]
+        first, second = service.submit_batch(jobs)
+        assert second.cache_hit == "batch"
+        expected = canonical_json(first.artifact)
+        second.artifact["metrics"]["native_gates"] = -1
+        second.artifact["schedule"]["order"].reverse()
+        assert canonical_json(first.artifact) == expected
 
     def test_pool_path_matches_inline(self):
         jobs = [_job(seed=s, job_id=f"j{s}") for s in range(4)]
