@@ -72,21 +72,32 @@ def test_corpus_total_within_budget(bench_report):
 
 
 def test_sabre_scoring_is_incremental():
-    """The SABRE candidate loop must not rescore front+extended fully.
+    """The SABRE and latency candidate loops must not rescore front+extended fully.
 
-    Guards the tentpole design: `_SwapScorer` caches base sums at
-    construction and evaluates each candidate via deltas over the gates
-    touching the swapped qubits only.
+    Guards the design: the shared family loop builds one `_Terms` per
+    decision, which holds the base sums, and the sabre and latency
+    policies score each candidate from deltas over the pairs on the
+    swapped qubits only.
     """
     import inspect
 
-    from repro.mapping.routing import sabre
+    from repro.mapping.routing import family, latency, sabre
 
-    assert hasattr(sabre, "_SwapScorer")
-    source = inspect.getsource(sabre.route_sabre)
-    assert "_SwapScorer" in source
-    # The full rescore helper must not appear in the candidate loop.
-    assert "_score(" not in source
+    assert hasattr(family, "_Terms")
+    assert "_Terms(" in inspect.getsource(family.route_family)
+    # The full rescore helpers must not appear in the candidate loops.
+    paths = [
+        family.route_family,
+        family._Terms.score,
+        sabre._SabrePolicy.choose,
+        latency._LatencyPolicy.choose,
+    ]
+    for fn in paths:
+        source = inspect.getsource(fn)
+        assert "_score(" not in source, fn.__qualname__
+        assert "resum(" not in source, fn.__qualname__
+    for policy in (sabre._SabrePolicy, latency._LatencyPolicy):
+        assert "terms.score(" in inspect.getsource(policy.choose)
 
 
 def test_service_batch_warm_cache():

@@ -22,12 +22,10 @@ front layer is blocked it evaluates candidate SWAPs on two criteria:
 from __future__ import annotations
 
 from ...core.circuit import Circuit
-from ...core.dag import DependencyGraph
-from ...core import gates as G
 from ...devices.device import Device
 from ..placement import Placement
-from .base import RoutingError, RoutingResult, device_path
-from .sabre import _SwapScorer, _candidate_swaps, _extended_set
+from .base import RoutingResult
+from .family import Policy, route_family
 
 __all__ = ["route_latency"]
 
@@ -62,105 +60,56 @@ def route_latency(
         A connectivity-satisfying :class:`RoutingResult`; its metadata
         carries the router's own latency estimate in cycles.
     """
-    current = (placement or Placement.trivial(device.num_qubits, circuit.num_qubits)).copy()
-    initial = current.copy()
-    dag = DependencyGraph(circuit, commutation=commutation)
-    dist = device.distance_matrix
+    policy = _LatencyPolicy(device, latency_weight)
+    result = route_family(
+        circuit, device, placement, policy,
+        dist=device.distance_matrix,
+        lookahead=lookahead,
+        extended_weight=extended_weight,
+        commutation=commutation,
+    )
+    result.metadata = {
+        "estimated_latency": max(policy.avail, default=0),
+        "lookahead": lookahead,
+        "latency_weight": latency_weight,
+    }
+    return result
 
-    done: set[int] = set()
-    front = set(dag.front_layer())
-    out = Circuit(device.num_qubits, name=circuit.name)
-    added = 0
-    # Incremental ASAP schedule on physical qubits.
-    avail = [0] * device.num_qubits
-    swap_duration = device.duration("swap")
-    stall = 0
-    max_stall = 4 * device.num_qubits * device.num_qubits + 16
 
-    def executable(index: int) -> bool:
-        gate = dag.gate(index)
-        if len(gate.qubits) > 2:
-            raise RoutingError(f"decompose {gate.name} before routing")
-        if len(gate.qubits) == 2 and gate.is_unitary:
-            return device.connected(
-                current.phys(gate.qubits[0]), current.phys(gate.qubits[1])
-            )
-        return True
+class _LatencyPolicy(Policy):
+    """Distance score plus the weighted cycle at which the SWAP could start.
 
-    def emit(index: int) -> None:
-        gate = dag.gate(index)
-        phys = {q: current.phys(q) for q in gate.qubits}
-        out.append(gate.remap(phys))
-        start = max((avail[p] for p in phys.values()), default=0)
-        finish = start + (0 if gate.is_barrier else device.duration(gate))
-        for p in phys.values():
-            avail[p] = finish
-        done.add(index)
-        front.discard(index)
-        for succ in dag.successors(index):
-            if all(p in done for p in dag.predecessors(succ)):
-                front.add(succ)
+    ``avail`` is an incremental ASAP schedule on physical qubits: the
+    cycle at which each becomes free.  It advances on every emitted gate
+    and on every chosen SWAP, but not on the SWAPs of a forced route.
+    """
 
-    while front:
-        progressed = True
-        while progressed:
-            progressed = False
-            for index in sorted(front):
-                if executable(index):
-                    emit(index)
-                    progressed = True
-                    stall = 0
-        if not front:
-            break
+    router = "latency"
 
-        blocked = [dag.gate(i) for i in sorted(front)]
-        extended = _extended_set(dag, done, front, lookahead)
-        candidates = _candidate_swaps(blocked, current, device)
-        if not candidates:
-            raise RoutingError("no candidate swaps; is the device connected?")
+    def __init__(self, device: Device, latency_weight: float) -> None:
+        self.max_stall = 4 * device.num_qubits * device.num_qubits + 16
+        self.device = device
+        self.latency_weight = latency_weight
+        self.avail = [0] * device.num_qubits
+        self.swap_duration = device.duration("swap")
 
-        scorer = _SwapScorer(
-            blocked, extended, dag, current, dist, extended_weight
-        )
-        best_swap, best_key = None, None
+    def choose(self, candidates, terms):
+        avail = self.avail
+        weight = self.latency_weight
+        best = best_key = None
         for pa, pb in candidates:
-            dist_score = scorer.score(pa, pb)
             # Looking-back: when could this SWAP start, given the gates
             # already scheduled on its qubits?
-            start_delay = max(avail[pa], avail[pb])
-            key = (dist_score + latency_weight * start_delay, pa, pb)
-            if best_key is None or key < best_key:
-                best_key, best_swap = key, (pa, pb)
+            key = terms.score(pa, pb) + weight * max(avail[pa], avail[pb])
+            if best is None or key < best_key:
+                best, best_key = (pa, pb), key
+        pa, pb = best
+        avail[pa] = avail[pb] = max(avail[pa], avail[pb]) + self.swap_duration
+        return best
 
-        assert best_swap is not None
-        pa, pb = best_swap
-        out.append(G.swap(pa, pb))
-        start = max(avail[pa], avail[pb])
-        for p in (pa, pb):
-            avail[p] = start + swap_duration
-        current.apply_swap(pa, pb)
-        added += 1
-        stall += 1
-        if stall > max_stall:
-            gate = dag.gate(min(front))
-            path = device_path(
-                device, current.phys(gate.qubits[0]), current.phys(gate.qubits[1])
-            )
-            for step in range(len(path) - 2):
-                out.append(G.swap(path[step], path[step + 1]))
-                current.apply_swap(path[step], path[step + 1])
-                added += 1
-            stall = 0
-
-    return RoutingResult(
-        out,
-        initial,
-        current,
-        added,
-        "latency",
-        metadata={
-            "estimated_latency": max(avail, default=0),
-            "lookahead": lookahead,
-            "latency_weight": latency_weight,
-        },
-    )
+    def emitted(self, gate):
+        avail = self.avail
+        start = max((avail[p] for p in gate.qubits), default=0)
+        finish = start + (0 if gate.is_barrier else self.device.duration(gate))
+        for p in gate.qubits:
+            avail[p] = finish

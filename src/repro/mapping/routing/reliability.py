@@ -28,13 +28,11 @@ from __future__ import annotations
 import math
 
 from ...core.circuit import Circuit
-from ...core.dag import DependencyGraph
-from ...core import gates as G
 from ...devices.device import Device
 from ...sim.noise import NoiseModel
 from ..placement import Placement
-from .base import RoutingError, RoutingResult, device_path
-from .sabre import _SwapScorer, _candidate_swaps, _extended_set, _score
+from .base import RoutingResult
+from .family import Policy, route_family
 
 __all__ = ["route_reliability"]
 
@@ -67,100 +65,45 @@ def route_reliability(
         A connectivity-satisfying :class:`RoutingResult`.
     """
     model = noise or NoiseModel()
-    dist = model.weighted_distance_matrix(device)
-
-    def swap_error(pa: int, pb: int) -> float:
-        error = model.edge_error.get((min(pa, pb), max(pa, pb)), model.error_2q)
-        return -3.0 * math.log(max(1.0 - error, 1e-12))
-
-    current = (placement or Placement.trivial(device.num_qubits, circuit.num_qubits)).copy()
-    initial = current.copy()
-    dag = DependencyGraph(circuit)
-    done: set[int] = set()
-    front = set(dag.front_layer())
-    out = Circuit(device.num_qubits, name=circuit.name)
-    added = 0
-    stall = 0
-    # Tighter than SABRE's guard: on a flat error landscape we prefer to
-    # bail out to a plain shortest-path burst early.
-    max_stall = 2 * device.num_qubits + 8
-
-    def executable(index: int) -> bool:
-        gate = dag.gate(index)
-        if len(gate.qubits) > 2:
-            raise RoutingError(f"decompose {gate.name} before routing")
-        if len(gate.qubits) == 2 and gate.is_unitary:
-            return device.connected(
-                current.phys(gate.qubits[0]), current.phys(gate.qubits[1])
-            )
-        return True
-
-    def emit(index: int) -> None:
-        gate = dag.gate(index)
-        out.append(gate.remap({q: current.phys(q) for q in gate.qubits}))
-        done.add(index)
-        front.discard(index)
-        for succ in dag.successors(index):
-            if all(p in done for p in dag.predecessors(succ)):
-                front.add(succ)
-
-    while front:
-        progressed = True
-        while progressed:
-            progressed = False
-            for index in sorted(front):
-                if executable(index):
-                    emit(index)
-                    progressed = True
-                    stall = 0
-        if not front:
-            break
-
-        blocked = [dag.gate(i) for i in sorted(front)]
-        extended = _extended_set(dag, done, front, lookahead)
-        candidates = _candidate_swaps(blocked, current, device)
-        if not candidates:
-            raise RoutingError("no candidate swaps; is the device connected?")
-
-        # The scorer supplies the strict-progress bit via an incremental
-        # front-distance delta; the score itself is still a full rescore
-        # because its error-weighted float sums drive exact tie-breaks.
-        scorer = _SwapScorer(blocked, extended, dag, current, dist, extended_weight)
-        scored = []
-        for pa, pb in candidates:
-            d_front, _ = scorer.deltas(pa, pb)
-            current.apply_swap(pa, pb)
-            full_score = _score(
-                blocked, extended, dag, current, dist, extended_weight
-            )
-            current.apply_swap(pa, pb)
-            scored.append(
-                (d_front < -1e-12, full_score + swap_error(pa, pb), pa, pb)
-            )
-        progressing = [entry for entry in scored if entry[0]]
-        pool = progressing or scored
-        _, __, pa, pb = min(pool, key=lambda e: e[1:])
-
-        out.append(G.swap(pa, pb))
-        current.apply_swap(pa, pb)
-        added += 1
-        stall += 1
-        if stall > max_stall:
-            gate = dag.gate(min(front))
-            path = device_path(
-                device, current.phys(gate.qubits[0]), current.phys(gate.qubits[1])
-            )
-            for step in range(len(path) - 2):
-                out.append(G.swap(path[step], path[step + 1]))
-                current.apply_swap(path[step], path[step + 1])
-                added += 1
-            stall = 0
-
-    return RoutingResult(
-        out,
-        initial,
-        current,
-        added,
-        "reliability",
-        metadata={"lookahead": lookahead, "noise_aware": True},
+    result = route_family(
+        circuit, device, placement,
+        _ReliabilityPolicy(device, model),
+        dist=model.weighted_distance_matrix(device),
+        lookahead=lookahead,
+        extended_weight=extended_weight,
     )
+    result.metadata = {"lookahead": lookahead, "noise_aware": True}
+    return result
+
+
+class _ReliabilityPolicy(Policy):
+    """Strict progress first, then the weighted score plus the SWAP's own
+    error.  The score is re-summed in full: its float sums drive exact
+    tie-breaks, where base plus delta could round differently."""
+
+    router = "reliability"
+
+    def __init__(self, device: Device, model: NoiseModel) -> None:
+        # Tighter than SABRE's guard: on a flat error landscape we prefer
+        # to bail out to a plain shortest-path burst early.
+        self.max_stall = 2 * device.num_qubits + 8
+        # -log success of each edge's SWAP: three two-qubit gates.
+        self.swap_error = {
+            edge: -3.0 * math.log(
+                max(1.0 - model.edge_error.get(edge, model.error_2q), 1e-12)
+            )
+            for edge in device.undirected_edge_list
+        }
+
+    def choose(self, candidates, terms):
+        best = best_score = progress = progress_score = None
+        for pa, pb in candidates:
+            d_front, score = terms.resum(pa, pb)
+            score += self.swap_error[pa, pb]
+            # Only SWAPs that strictly shorten the blocked front compete
+            # when there are any: a flat landscape must not stall.
+            if d_front < -1e-12 and (progress is None or score < progress_score):
+                progress, progress_score = (pa, pb), score
+            if best is None or score < best_score:
+                best, best_score = (pa, pb), score
+        return progress or best

@@ -25,7 +25,7 @@ from ...core.gates import Gate
 from ...devices.device import Device
 from ..placement import FREE, Placement
 from .base import RoutingError, RoutingResult, device_path
-from .sabre import _extended_set, _score
+from .family import _extended_set, _score
 
 __all__ = ["route_shuttle"]
 
@@ -64,6 +64,7 @@ def route_shuttle(
     initial = current.copy()
     dag = DependencyGraph(circuit)
     dist = device.distance_matrix
+    two_qubit = [gate.is_two_qubit for gate in circuit.gates]
 
     done: set[int] = set()
     front = set(dag.front_layer())
@@ -129,7 +130,7 @@ def route_shuttle(
             break
 
         blocked = [dag.gate(i) for i in sorted(front)]
-        extended = _extended_set(dag, done, front, lookahead)
+        extended = _extended_set(dag.successors, two_qubit, front, lookahead)
         moves = candidate_moves()
         if not moves:
             raise RoutingError("no candidate moves; is the device connected?")

@@ -376,6 +376,18 @@ def _statement_gates(
     if match is None:
         raise QasmError(f"cannot parse statement {body!r}", line)
     gate_name, params_text, operand_text = match.groups()
+    if params_text and "(" in params_text:
+        # The pattern stops at the first ")"; a parameter list holding a
+        # parenthesis runs to its matching one.  Without one, or with no
+        # operands after it, the first split stands and fails as before.
+        depth = 0
+        for close in range(match.start(2) - 1, len(body)):
+            depth += (body[close] == "(") - (body[close] == ")")
+            if not depth:
+                if body[close + 1:].strip():
+                    params_text = body[match.start(2):close]
+                    operand_text = body[close + 1:].lstrip()
+                break
     key = gate_name.lower()
     if key not in _DIRECT:
         raise QasmError(f"unsupported gate {gate_name!r}", line)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.pipeline import compile_circuit
 from repro.devices import get_device
+from repro.mapping.routing import route_latency, route_reliability
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
@@ -253,6 +254,18 @@ class TestPipelineIntegration:
             "astar.python_layers", 0
         )
         assert layers > 0
+
+    @pytest.mark.parametrize("route", [route_latency, route_reliability])
+    def test_family_router_counters(self, route):
+        # Each decision applies one SWAP; only a forced route adds more.
+        circuit = random_circuit(12, 60, seed=7, two_qubit_fraction=0.6)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = route(circuit, get_device("ibm_qx5"))
+        counters = tracer.counters()
+        assert f"{result.router}.forced_routes" not in counters
+        assert counters[f"{result.router}.swap_decisions"] == result.added_swaps > 0
+        assert counters[f"{result.router}.swap_candidates_scored"] >= result.added_swaps
 
     def test_untraced_compile_records_nothing(self):
         circuit = random_circuit(5, 15, seed=3, two_qubit_fraction=0.6)

@@ -37,6 +37,25 @@ class TestParserBasics:
         assert circuit.gates[0].params == (math.pi / 2,)
         assert circuit.gates[1].name == "u"
 
+    @pytest.mark.parametrize(
+        "statement, params",
+        [
+            ("rx(-(pi/2)) q[0];", (-math.pi / 2,)),
+            ("rx((1)) q[0];", (1.0,)),
+            ("rx(2*(pi)) q[0];", (2 * math.pi,)),
+            ("u(0,(pi),-(pi/4)) q[0];", (0.0, math.pi, -math.pi / 4)),
+            ("if(c0==1) rz(((0.5))) q[0];", (0.5,)),
+        ],
+        ids=["negated", "wrapped", "factor", "u", "conditioned"],
+    )
+    def test_parentheses_inside_parameter_list(self, statement, params):
+        # Regression: the parameter list stopped at its first ")", so each
+        # of these raised "unexpected end of expression".
+        circuit = parse_qasm(
+            f"OPENQASM 2.0;\nqreg q[1];\ncreg c0[1];\n{statement}\n"
+        )
+        assert circuit.gates[0].params == params
+
     def test_expression_arithmetic(self):
         circuit = parse_qasm("qreg q[1]; rz(2*pi/4 - -0.5) q[0];")
         assert circuit.gates[0].params[0] == pytest.approx(math.pi / 2 + 0.5)
@@ -216,6 +235,26 @@ class TestParserErrors:
         signs = "-" * 100
         circuit = parse_qasm(f"qreg q[1];\nrx({signs}0.5) q[0];\n")
         assert circuit.gates[0].params == (0.5,)
+        nested = "(" * 100 + "0.5" + ")" * 100
+        circuit = parse_qasm(f"qreg q[1];\nrx({nested}) q[0];\n")
+        assert circuit.gates[0].params == (0.5,)
+
+    @pytest.mark.parametrize(
+        "statement, problem",
+        [
+            ("rx((1) q[0];", "unexpected end of expression"),
+            ("rx(-(pi/2) q[0];", "unexpected end of expression"),
+            ("rx(1)) q[0];", "malformed operand ') q[0]'"),
+            ("rx((1));", "unexpected end of expression"),
+        ],
+        ids=["unclosed", "unclosed-negated", "extra-close", "no-operands"],
+    )
+    def test_unbalanced_parameter_list_is_positioned(self, statement, problem):
+        with pytest.raises(QasmError) as excinfo:
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nh q[0]; {statement}\n")
+        err = excinfo.value
+        assert (err.line, err.column) == (3, 9)
+        assert err.message == problem
 
 
 class TestWriters:

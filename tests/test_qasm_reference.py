@@ -9,7 +9,7 @@ On every input below both must return the same circuit, compared by
 that turns into ``0.0`` counts as a difference), or raise the same
 exception type with the same message.
 
-Two deliberate differences:
+Three deliberate differences:
 
 * a gate given operands it rejects (wrong arity, a repeated qubit) made
   the earlier parser leak ``Gate``'s bare ``ValueError``; it is now a
@@ -17,11 +17,17 @@ Two deliberate differences:
 * parameter arithmetic that divided by zero or recursed too deep made
   it leak ``ZeroDivisionError`` or ``RecursionError``, and a parameter
   that was not finite (``1e400``, ``inf``, ``nan``) parsed; each is now
-  a positioned :class:`QasmError`.
+  a positioned :class:`QasmError`;
+* a parameter list holding a parenthesis, such as ``rx(-(pi/2))``,
+  stopped at its first ``)``, so it always raised; it now runs to its
+  matching ``)``.  Writer output with its parameters wrapped in
+  parentheses must parse to the earlier parser's gates for the
+  unwrapped output, and a list with no matching ``)`` fails as before.
 
 Inputs: writer output of random circuits, the same statements
 hand-formatted, sources that declare a second register between gates,
-and single-character mutations of all of these.
+single-character mutations of all of these, and writer output with
+parenthesised parameters.
 """
 
 from __future__ import annotations
@@ -156,6 +162,26 @@ def mutated_sources(draw) -> str:
     return source[:at] + char + source[at + 1:]
 
 
+#: A gate's parameter list in writer output (not an ``if(...)``).
+_PARAM_LIST_RE = re.compile(r"\b(?!if\()([A-Za-z_]\w*)\(([^()]*)\)")
+
+
+@st.composite
+def parenthesised_sources(draw) -> tuple[str, str]:
+    """Writer output, and the same with each parameter wrapped in zero
+    to three pairs of parentheses."""
+    source = draw(writer_sources())
+
+    def wrap(match: re.Match) -> str:
+        params = []
+        for param in match.group(2).split(","):
+            depth = draw(st.integers(0, 3))
+            params.append("(" * depth + param + ")" * depth)
+        return f"{match.group(1)}({','.join(params)})"
+
+    return source, _PARAM_LIST_RE.sub(wrap, source)
+
+
 def _outcome(parse, source: str) -> tuple:
     try:
         circuit = parse(source)
@@ -248,5 +274,28 @@ def test_second_register_sources_parse_as_before(source):
 @example("OPENQASM 2.0;\nqreg q[1];\nrx(inf) q[0];\nrx(nan) q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[1];\nrx(" + "-" * 5000 + "1) q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[1];\nrx(" + "(" * 5000 + "1) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx((1) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx(-(pi/2) q[0];\nh q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx(1)) q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nrx((1));\n")
 def test_mutated_sources_parse_as_before(source):
     assert_parses_as_before(source)
+
+
+def _pair(unwrapped: str, wrapped: str) -> tuple[str, str]:
+    header = "OPENQASM 2.0;\nqreg q[1];\ncreg c0[1];\n"
+    return header + unwrapped, header + wrapped
+
+
+@given(parenthesised_sources())
+@settings(**_SETTINGS)
+@example(_pair("rx(-pi/2) q[0];\n", "rx(-(pi/2)) q[0];\n"))
+@example(_pair("rx(1) q[0];\n", "rx((1)) q[0];\n"))
+@example(_pair("rx(2*pi) q[0];\n", "rx(2*(pi)) q[0];\n"))
+@example(_pair("u(0,pi,-pi/4) q[0];\n", "u(0,(pi),-(pi/4)) q[0];\n"))
+@example(_pair("if(c0==1) rz(0.5) q[0];\n", "if(c0==1) rz(((0.5))) q[0];\n"))
+def test_parenthesised_parameters_parse_as_unwrapped(sources):
+    unwrapped, wrapped = sources
+    expected = _outcome(qasm_reference.parse_qasm, unwrapped)
+    assert expected[0] == "parsed", expected
+    assert _outcome(parse_qasm, wrapped) == expected

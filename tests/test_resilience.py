@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.pipeline import PassConfig, compile_with_config, fallback_chain
 from repro.devices import get_device
-from repro.mapping.routing import route_astar, route_sabre
+from repro.mapping.routing import (
+    route_astar,
+    route_latency,
+    route_reliability,
+    route_sabre,
+)
 from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
 from repro.resilience import (
     Deadline,
@@ -340,6 +345,27 @@ class TestDeadlineHonoured:
 
     def test_sabre_aborts_within_twice_the_budget(self):
         assert self._route_under_deadline(route_sabre) < 2 * self.BUDGET
+
+    def test_latency_aborts_within_twice_the_budget(self):
+        assert self._route_under_deadline(route_latency) < 2 * self.BUDGET
+
+    def test_reliability_aborts_within_twice_the_budget(self):
+        assert self._route_under_deadline(route_reliability) < 2 * self.BUDGET
+
+    @pytest.mark.parametrize("router", ["latency", "reliability"])
+    def test_pipeline_degrades_through_sabre_to_naive(self, router):
+        # Unbounded, either router takes several budgets on this circuit;
+        # it must abort, and sabre after it, so naive answers.
+        circuit = random_circuit(16, 1200, seed=7, two_qubit_fraction=0.9)
+        gc.collect()
+        result = compile_with_config(
+            circuit, get_device("ibm_qx5"), PassConfig(router=router),
+            deadline=Deadline.after(self.BUDGET),
+        )
+        info = result.metadata["resilience"]
+        assert info["degraded"] is True
+        assert info["fallback_path"] == [router, "sabre", "naive"]
+        assert [f["kind"] for f in info["failures"]] == ["deadline", "deadline"]
 
     def test_astar_aborts_within_twice_the_budget(self):
         # With the kernel available the abort must come from the batch
