@@ -1,12 +1,15 @@
 """Perf-regression smoke test — runs under tier-1 pytest.
 
-Two guarantees on every test run:
+Three guarantees on every test run:
 
-1. **Equivalence**: the optimised routers still produce byte-identical
-   outputs (swap counts + circuit fingerprints) to the seed
-   implementations on the whole fixed-seed corpus of
-   :mod:`repro.perf.bench`.
-2. **Budgets**: wall-clock stays within generous limits, so a future
+1. **Equivalence**: the routers still produce byte-identical outputs
+   (swap counts + circuit fingerprints) to the frozen seed outputs of
+   ``tests/seed_baseline.py`` on all 46 cases: the 40 of
+   :data:`repro.perf.CORPUS` and the six 80-119-qubit cases.
+2. **Kernel path**: with the native A* kernel available, every A* layer
+   of those 46 cases is solved natively, in batch calls, with no
+   Python fallback layer; without it, every layer runs in Python.
+3. **Budgets**: wall-clock stays within generous limits, so a future
    change that quietly re-introduces a full-rescore hot path fails CI
    instead of landing.  The headline case — A* on the 120-gate / 12
    program-qubit QX5 circuit — took 3.8–5.3 s in the seed; the budget
@@ -16,17 +19,31 @@ Two guarantees on every test run:
 The budgets are relaxed when the compiled A* kernel is unavailable (no C
 compiler on the host): the pure-Python kernel is ~2.5 s on the headline
 case, still ~2x the seed, and equivalence is enforced identically.
-
-Full timing details are produced by ``python -m repro.cli bench --json
-BENCH_routers.json``; this module reuses the same corpus and runner.
+Timings meant for comparison across commits come from ``bench/``.
 """
+
+import os
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.mapping.routing import _astar_native, route_astar
-from repro.perf import run_bench
-from repro.workloads import random_circuit
 from repro.devices import linear_device
+from repro.mapping.routing import _astar_native, route, route_astar
+from repro.perf import CORPUS, DEVICES, compare_serial, corpus_circuit
+from repro.workloads import random_circuit
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from tests.seed_baseline import (  # noqa: E402
+    LARGE_CORPUS,
+    LARGE_DEVICES,
+    SEED_BASELINE,
+    fingerprint,
+)
 
 
 def _native_kernel_available() -> bool:
@@ -34,38 +51,73 @@ def _native_kernel_available() -> bool:
 
 
 @pytest.fixture(scope="module")
-def bench_report():
+def routed():
+    """Route every seed case once through :func:`route`.
+
+    Returns ``(cases, kernel)``: per case key, its ``(seconds, swaps,
+    fingerprint)``, and the native-kernel counter deltas of the run.
+    """
     # Trigger the one-time native-kernel compile outside the timed runs
     # (it is cached on disk, so this is usually instantaneous).
     route_astar(random_circuit(3, 4, seed=0), linear_device(3))
-    return run_bench()
+    factories = {**DEVICES, **LARGE_DEVICES}
+    before = _astar_native.kernel_stats()
+    cases = {}
+    for key, dev, instance, router, options in CORPUS + LARGE_CORPUS:
+        circuit = corpus_circuit(*instance)
+        device = factories[dev]()
+        start = time.perf_counter()
+        result = route(circuit, device, router, **options)
+        seconds = time.perf_counter() - start
+        cases[key] = (seconds, result.added_swaps, fingerprint(result.circuit))
+    after = _astar_native.kernel_stats()
+    kernel = {
+        name: after[name] - before[name]
+        for name in ("native_layers", "python_layers", "batch_calls")
+    }
+    return cases, kernel
 
 
-def test_outputs_byte_identical_to_seed(bench_report):
+def test_outputs_byte_identical_to_seed(routed):
+    cases, _ = routed
+    assert set(cases) == set(SEED_BASELINE)
     diffs = [
-        case["case"]
-        for case in bench_report["cases"]
-        if not case["matches_seed"]
+        key
+        for key, (_, swaps, fp) in cases.items()
+        if (swaps, fp) != (
+            SEED_BASELINE[key]["swaps"], SEED_BASELINE[key]["fingerprint"]
+        )
     ]
     assert not diffs, f"router outputs drifted from the seed: {diffs}"
 
 
-def test_hot_case_within_budget(bench_report):
+def test_kernel_path_matches_availability(routed):
+    _, kernel = routed
+    if os.environ.get("REPRO_NO_NATIVE"):
+        assert not _native_kernel_available(), "native kernel not disabled"
+    if _native_kernel_available():
+        assert kernel["python_layers"] == 0, (
+            f"native kernel fell back to Python: {kernel}"
+        )
+        assert kernel["native_layers"] > 0, kernel
+        assert kernel["batch_calls"] > 0, kernel
+    else:
+        assert kernel["native_layers"] == 0, kernel
+        assert kernel["python_layers"] > 0, kernel
+
+
+def test_hot_case_within_budget(routed):
     budget = 1.5 if _native_kernel_available() else 15.0
-    hot = next(
-        case
-        for case in bench_report["cases"]
-        if case["case"] == "ibm_qx5/12q120g_s120/astar"
-    )
-    assert hot["seconds"] < budget, (
-        f"A* hot case took {hot['seconds']:.2f}s (budget {budget}s); "
+    seconds = routed[0]["ibm_qx5/12q120g_s120/astar"][0]
+    assert seconds < budget, (
+        f"A* hot case took {seconds:.2f}s (budget {budget}s); "
         "the seed needed 3.8-5.3s — a regression is creeping back in"
     )
 
 
-def test_corpus_total_within_budget(bench_report):
+def test_corpus_total_within_budget(routed):
     budget = 4.0 if _native_kernel_available() else 20.0
-    total = bench_report["summary"]["total_seconds"]
+    total = sum(routed[0][key][0] for key, *_ in CORPUS)
     assert total < budget, (
         f"full corpus took {total:.2f}s (budget {budget}s, seed ~6.2s)"
     )
@@ -107,9 +159,7 @@ def test_service_batch_warm_cache():
     warm batch, byte-identity of cached artefacts vs serial — the same
     checks ``repro batch --corpus perf --compare-serial`` runs in full.
     """
-    from repro.perf import run_service_bench
-
-    report = run_service_bench(jobs=1, limit=6, oneshot_baseline=False)
+    report = compare_serial(jobs=1, limit=6)
     summary = report["summary"]
     assert summary["cases"] == 6
     assert summary["warm_hit_rate"] == 1.0

@@ -14,9 +14,9 @@ Usage examples::
     python -m repro batch manifest.json --jobs 4 --cache-dir .repro-cache \
         --json report.json
     python -m repro batch --corpus perf --jobs 4 --compare-serial \
-        --json BENCH_service.json
+        --json compare.json
     python -m repro serve --port 8571 --jobs 4 --cache-dir .repro-cache
-    python -m repro bench --trace trace.json
+    python -m repro batch --corpus perf --trace trace.json
     python -m repro trace summarize trace.json
 """
 
@@ -33,6 +33,7 @@ from .mapping.placement import PLACERS
 from .mapping.routing import ROUTERS
 from .mapping.routing.base import RoutingError
 from .qasm import QasmError, parse_qasm, schedule_to_cqasm, to_cqasm, to_openqasm
+from .resilience.deadline import check_budget
 from .verify import equivalent_mapped
 from .viz import draw_circuit, draw_device, draw_schedule
 
@@ -65,6 +66,29 @@ def _load_circuit(path_text: str) -> Circuit:
         return parse_qasm(source)
     except QasmError as exc:
         raise CliError(f"invalid QASM in {label}: {exc}") from exc
+
+
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds >= 0."""
+    try:
+        return check_budget(float(text), "seconds")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,30 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="two-qubit error rate for --noise (default 0.01)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the routers on the fixed-seed corpus and check "
-        "byte-identical equivalence with the seed implementations",
-    )
-    bench.add_argument(
-        "--json", metavar="FILE", dest="json_path",
-        help="write the full report as JSON (e.g. BENCH_routers.json)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="timing repeats per case, best-of-N (default 1)",
-    )
-    bench.add_argument(
-        "--large", action="store_true",
-        help="also run the 80-119 qubit large-device corpus "
-        "(exercises the multi-word native kernels)",
-    )
-    bench.add_argument(
-        "--trace", metavar="FILE", dest="trace_path",
-        help="record per-case routing spans and router counters as a "
-        "Chrome-trace JSON file",
-    )
-
     batch = sub.add_parser(
         "batch",
         help="compile many circuit/device/config jobs through the "
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(perf = the fixed-seed full-pipeline corpus)",
     )
     batch.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_positive_int, default=None, metavar="N",
         help="only run the first N jobs of the workload",
     )
     batch.add_argument(
@@ -202,19 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile every job fresh (still dedups within the batch)",
     )
     batch.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_seconds, default=None, metavar="SECONDS",
         help="per-job compute budget, measured from the moment a worker "
         "starts the job (queue wait is free); enforced from outside the "
         "worker, so it needs the pool path",
     )
     batch.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_seconds, default=None, metavar="SECONDS",
         help="cooperative per-job routing deadline: routers poll it and "
         "degrade through the fallback chain (astar -> sabre -> naive) "
         "instead of being killed",
     )
     batch.add_argument(
-        "--batch-timeout", type=float, default=None, metavar="SECONDS",
+        "--batch-timeout", type=_seconds, default=None, metavar="SECONDS",
         help="overall wall-clock bound on the whole batch; unfinished "
         "jobs report status=timeout when it expires",
     )
@@ -270,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile every job fresh",
     )
     serve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_seconds, default=None, metavar="SECONDS",
         help="per-job hard compute budget (measured from worker start)",
     )
     serve.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_seconds, default=None, metavar="SECONDS",
         help="default cooperative routing deadline for jobs that do "
         "not carry their own SLO deadline",
     )
@@ -507,55 +507,6 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    import json
-
-    from .perf import run_bench
-
-    tracer, trace_ctx = _make_tracer(args)
-    with trace_ctx:
-        report = run_bench(repeats=args.repeats, include_large=args.large)
-    print(f"{'case':<42} {'seconds':>9} {'seed_s':>9} {'swaps':>6} match",
-          file=out)
-    for case in report["cases"]:
-        seed_sec = case["seed_seconds"]
-        seed_txt = f"{seed_sec:>9.4f}" if seed_sec else f"{'-':>9}"
-        print(
-            f"{case['case']:<42} {case['seconds']:>9.4f} {seed_txt} "
-            f"{case['swaps']:>6} {'ok' if case['matches_seed'] else 'DIFF'}",
-            file=out,
-        )
-    summary = report["summary"]
-    print(
-        f"\ntotal {summary['total_seconds']}s "
-        f"(seed {summary['seed_total_seconds']}s), "
-        f"all_match_seed={summary['all_match_seed']}",
-        file=out,
-    )
-    if "hot_case_speedup" in summary:
-        print(
-            f"hot case {summary['hot_case']}: "
-            f"{summary['hot_case_speedup']}x vs seed",
-            file=out,
-        )
-    kernel = summary["kernel"]
-    print(
-        f"kernel: available={kernel['available']} "
-        f"native_layers={kernel['native_layers']} "
-        f"python_layers={kernel['python_layers']} "
-        f"batch_calls={kernel['batch_calls']}",
-        file=out,
-    )
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_path}", file=out)
-    if tracer is not None:
-        _write_trace(args, tracer, out, meta={"bench_summary": summary})
-    return 0 if summary["all_match_seed"] else 3
-
-
 def _batch_device(spec, base: Path):
     """Resolve a manifest device spec: registry name, JSON file, or dict."""
     if isinstance(spec, dict):
@@ -637,8 +588,8 @@ def _batch_jobs_from_manifest(args) -> list:
             raise CliError(
                 f'manifest job entries need "circuit" and "device": {entry!r}'
             )
-        jobs.append(
-            CompileJob.create(
+        try:
+            job = CompileJob.create(
                 read_qasm(entry["circuit"]),
                 _batch_device(entry["device"], base),
                 make_config(entry.get("config", {})),
@@ -646,7 +597,9 @@ def _batch_jobs_from_manifest(args) -> list:
                 timeout=entry.get("timeout"),
                 metadata={"circuit": entry["circuit"]},
             )
-        )
+        except ValueError as exc:
+            raise CliError(f"invalid manifest job {entry!r}: {exc}") from exc
+        jobs.append(job)
 
     circuits = manifest.get("circuits", [])
     devices = manifest.get("devices", [])
@@ -684,11 +637,11 @@ def _cmd_batch(args, out) -> int:
     from .service import CompileCache, CompileService
 
     if args.compare_serial:
-        from .perf import run_service_bench
+        from .perf import compare_serial
 
         tracer, trace_ctx = _make_tracer(args)
         with trace_ctx:
-            report = run_service_bench(
+            report = compare_serial(
                 jobs=args.jobs,
                 cache_dir=args.cache_dir,
                 limit=args.limit,
@@ -717,23 +670,8 @@ def _cmd_batch(args, out) -> int:
             f"hit rate {summary['warm_hit_rate']:.0%})",
             file=out,
         )
-        if "speedup_vs_oneshot_cli" in summary:
-            print(
-                f"  one-shot CLI baseline "
-                f"{summary['oneshot_cli_sample_seconds']}s/job -> "
-                f"{summary['speedup_vs_oneshot_cli']}x amortised speedup",
-                file=out,
-            )
         print(
-            f"  router sweep  {summary['sweep_seconds']:>8}s "
-            f"({summary['sweep_cases']} jobs, "
-            f"stage hit rate {summary['stage_hit_rate']:.0%}, "
-            f"{summary['sweep_speedup']}x vs serial)",
-            file=out,
-        )
-        print(
-            f"  artifacts_match_serial={summary['artifacts_match_serial']} "
-            f"sweep_artifacts_match={summary['sweep_artifacts_match']}",
+            f"  artifacts_match_serial={summary['artifacts_match_serial']}",
             file=out,
         )
         if args.json_path:
@@ -743,11 +681,7 @@ def _cmd_batch(args, out) -> int:
             print(f"wrote {args.json_path}", file=out)
         if tracer is not None:
             _write_trace(args, tracer, out, meta={"bench_summary": summary})
-        matches = (
-            summary["artifacts_match_serial"]
-            and summary["sweep_artifacts_match"]
-        )
-        return 0 if matches else 3
+        return 0 if summary["artifacts_match_serial"] else 3
 
     if args.corpus == "perf":
         from .perf import corpus_jobs
@@ -935,7 +869,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "info": lambda: _cmd_info(args, out),
         "map": lambda: _cmd_map(args, out),
         "simulate": lambda: _cmd_simulate(args, out),
-        "bench": lambda: _cmd_bench(args, out),
         "batch": lambda: _cmd_batch(args, out),
         "serve": lambda: _cmd_serve(args, out),
         "trace": lambda: _cmd_trace(args, out),

@@ -20,8 +20,8 @@ Producers: :func:`repro.core.pipeline.compile_circuit` wraps every
 pipeline stage in a span; the routers report per-run counters (SABRE
 swap candidates scored, A* node expansions, native-kernel vs fallback
 layers); the compile service forwards tracing into batch workers and
-merges their spans back.  Consumers: ``--trace FILE`` on the ``map``,
-``bench`` and ``batch`` CLI commands.  See ``docs/observability.md``.
+merges their spans back.  Consumers: ``--trace FILE`` on the ``map``
+and ``batch`` CLI commands.  See ``docs/observability.md``.
 """
 
 from .export import (

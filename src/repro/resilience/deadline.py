@@ -21,6 +21,7 @@ meaning the same instant.
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -29,9 +30,28 @@ from typing import Mapping
 __all__ = [
     "Deadline",
     "DeadlineExceeded",
+    "check_budget",
     "current_deadline",
     "use_deadline",
 ]
+
+
+def check_budget(seconds, name: str) -> float:
+    """``seconds`` as a float: a time budget is a finite number >= 0.
+
+    Raises:
+        ValueError: for anything else, a bool included.  A NaN budget
+            would never expire; a negative one has already expired.
+    """
+    if (
+        isinstance(seconds, (int, float))
+        and not isinstance(seconds, bool)
+        and 0 <= seconds <= sys.float_info.max
+    ):
+        return float(seconds)
+    raise ValueError(
+        f"{name} must be a finite number of seconds >= 0, got {seconds!r}"
+    )
 
 
 class DeadlineExceeded(RuntimeError):
@@ -55,10 +75,12 @@ class Deadline:
 
     @classmethod
     def after(cls, seconds: float) -> "Deadline":
-        """A deadline ``seconds`` from now."""
-        seconds = float(seconds)
-        if seconds < 0:
-            raise ValueError(f"deadline budget must be >= 0, got {seconds}")
+        """A deadline ``seconds`` from now.
+
+        Raises:
+            ValueError: ``seconds`` is not a finite number >= 0.
+        """
+        seconds = check_budget(seconds, "deadline budget")
         return cls(time.monotonic() + seconds, budget=seconds)
 
     def remaining(self) -> float:

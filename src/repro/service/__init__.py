@@ -25,7 +25,7 @@ circuit/device pairs.  This package wraps the Fig. 2 pipeline
   front end behind the ``repro serve`` CLI command.
 
 The ``repro batch`` / ``repro serve`` CLI commands and
-:mod:`repro.perf.service_bench` build on this package; see
+:func:`repro.perf.compare_serial` build on this package; see
 ``docs/service.md`` for the cache-key scheme and ``docs/gateway.md``
 for the job API and HTTP endpoints.
 """

@@ -156,17 +156,19 @@ def run_payload(
             )
         )
         stage_store = local_store
-    deadline = None
-    if payload.get("deadline_s") is not None:
-        deadline = Deadline.after(float(payload["deadline_s"]))
-    if payload.get("batch_deadline"):
-        batch_dl = Deadline.from_dict(payload["batch_deadline"])
-        if deadline is None or batch_dl.expires_mono < deadline.expires_mono:
-            deadline = batch_dl
-
     tracer = Tracer() if trace else None
     t0 = time.perf_counter()
     try:
+        # Inside the try: a bad budget fails this job as invalid, never
+        # the batch, the gateway's micro-batch or the pool worker.
+        deadline = None
+        if payload.get("deadline_s") is not None:
+            deadline = Deadline.after(payload["deadline_s"])
+        if payload.get("batch_deadline"):
+            batch_dl = Deadline.from_dict(payload["batch_deadline"])
+            if deadline is None \
+                    or batch_dl.expires_mono < deadline.expires_mono:
+                deadline = batch_dl
         with use_faults(plan, payload.get("job_id", "")) \
                 if plan is not None else nullcontext():
             fault_point("worker")

@@ -39,6 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..devices import available_devices, get_device
+from ..resilience.deadline import check_budget
 from .gateway import PRIORITIES, AsyncCompileService, Draining, Overloaded
 from .jobs import CompileJob
 
@@ -243,8 +244,12 @@ def _parse_submission(body: dict) -> tuple[CompileJob, dict]:
         )
     for name in ("deadline", "timeout", "wait_timeout"):
         value = body.get(name)
-        if value is not None and not isinstance(value, (int, float)):
-            raise _BadRequest(f'"{name}" must be a number')
+        if value is not None:
+            # json.loads accepts NaN and Infinity, and true is an int.
+            try:
+                check_budget(value, f'"{name}"')
+            except ValueError as exc:
+                raise _BadRequest(str(exc)) from None
     metadata = body.get("metadata", {})
     if not isinstance(metadata, dict):
         raise _BadRequest('"metadata" must be an object')

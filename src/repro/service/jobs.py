@@ -19,6 +19,7 @@ from ..core.circuit import Circuit
 from ..core.pipeline import CompilationResult, PassConfig
 from ..devices.device import Device
 from ..qasm import QasmError, to_openqasm
+from ..resilience.deadline import check_budget
 from .artifact import ResultGates, artifact_to_result
 from .keys import canonical_qasm, compute_key, device_fingerprint
 
@@ -42,7 +43,9 @@ class CompileJob:
         job_id: Caller-chosen identifier (auto-generated when empty);
             reported back on the matching :class:`JobResult`.
         timeout: Per-job wall-clock budget in seconds for batch runs
-            (``None``: the service default).
+            (``None``: the service default).  Like ``deadline``, a
+            finite number >= 0; anything else raises ``ValueError``
+            when the job is built.
         deadline: Per-job *cooperative* routing deadline in seconds —
             routers poll it and degrade through the fallback chain
             instead of being killed.  Overrides any batch-wide
@@ -65,6 +68,10 @@ class CompileJob:
     def __post_init__(self) -> None:
         if not self.job_id:
             self.job_id = uuid.uuid4().hex[:12]
+        if self.timeout is not None:
+            self.timeout = check_budget(self.timeout, "timeout")
+        if self.deadline is not None:
+            self.deadline = check_budget(self.deadline, "deadline")
 
     @classmethod
     def create(

@@ -19,16 +19,17 @@ from repro.devices import grid_device, heavy_hex_device, linear_device
 from repro.mapping.routing import route_astar
 from repro.mapping.routing import astar as astar_mod
 from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
-from repro.perf.bench import fingerprint
 from repro.resilience import Deadline, use_deadline
 from repro.workloads import random_circuit
+
+from .seed_baseline import fingerprint
 
 pytestmark = pytest.mark.skipif(
     not warm_kernel(),
     reason="native kernel unavailable (no C compiler or REPRO_NO_NATIVE=1)",
 )
 
-#: The large-corpus instances (same seeds as repro.perf.baseline) plus
+#: The large-corpus instances (same seeds as seed_baseline.LARGE_CORPUS) plus
 #: the old cap boundary: 64 qubits (the single-word maximum) and 65 (the
 #: first size the old kernel refused).
 LARGE_CASES = [

@@ -1,6 +1,6 @@
 """Placer outputs pinned against frozen goldens.
 
-The router fingerprints of :mod:`repro.perf.baseline` route with the
+The router fingerprints of :mod:`tests.seed_baseline` route with the
 trivial placement, so they say nothing about what the placers return.
 This module recomputes ``prog_to_phys()`` (dummy positions included) of
 :func:`assignment_placement`, :func:`annealing_placement` (seed 0) and
@@ -8,7 +8,7 @@ This module recomputes ``prog_to_phys()`` (dummy positions included) of
 ``NoiseModel.with_random_edge_errors(device, seed=0)``) on every
 instance below and compares it with :data:`tests.placement_goldens.GOLDENS`.
 
-Instances: the router corpus of :mod:`repro.perf.bench` plus its 12q60g
+Instances: the router corpus of :data:`repro.perf.CORPUS` plus its 12q60g
 variant circuit, the 80-119-qubit programs of the large corpus and the
 benchmark, and the algorithm circuits of :mod:`repro.workloads` on QX5
 and Surface-17.  Circuits with gates on more than two qubits are lowered

@@ -52,6 +52,14 @@ class TestDeadline:
         with pytest.raises(ValueError, match=">= 0"):
             Deadline.after(-1.0)
 
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), float("inf"), True, "5"], ids=repr
+    )
+    def test_non_finite_or_non_numeric_budget_rejected(self, budget):
+        # Regression: a NaN budget was accepted and never expired.
+        with pytest.raises(ValueError, match="finite number of seconds"):
+            Deadline.after(budget)
+
     def test_dict_roundtrip_preserves_instant(self):
         dl = Deadline.after(5.0)
         back = Deadline.from_dict(dl.to_dict())

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.qasm import to_openqasm
 from repro.workloads import ghz, random_circuit
 
@@ -195,11 +195,48 @@ class TestBatchResilienceFlags:
         assert "5/5 ok" in text
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--corpus", "perf", "--deadline", "-1"],
+        ["batch", "--corpus", "perf", "--timeout", "-1"],
+        ["batch", "--corpus", "perf", "--batch-timeout", "-1"],
+        ["batch", "--corpus", "perf", "--deadline", "nan"],
+        ["batch", "--corpus", "perf", "--timeout", "inf"],
+        ["batch", "--corpus", "perf", "--limit", "-1"],
+        ["batch", "--corpus", "perf", "--limit", "0"],
+        ["serve", "--timeout", "-1"],
+        ["serve", "--deadline", "nan"],
+    ], ids=" ".join)
+    def test_bad_number_is_usage_error(self, argv, capsys):
+        # Regression: negative budgets ended in a traceback, and
+        # --limit -1 silently dropped the last job.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: expected" in err
+
+    def test_zero_budgets_accepted(self):
+        args = build_parser().parse_args(
+            ["batch", "--corpus", "perf", "--deadline", "0", "--timeout", "0"]
+        )
+        assert args.deadline == 0.0 and args.timeout == 0.0
+
+
 class TestBatchErrors:
     def test_missing_manifest(self, capsys):
         code, _ = _run(["batch", "/nonexistent/manifest.json"])
         assert code == 2
         assert "repro: error:" in capsys.readouterr().err
+
+    def test_manifest_job_with_negative_timeout(self, tmp_path, capsys):
+        (tmp_path / "c.qasm").write_text(to_openqasm(ghz(3)))
+        (tmp_path / "m.json").write_text(json.dumps({"jobs": [
+            {"circuit": "c.qasm", "device": "ibm_qx4", "timeout": -1},
+        ]}))
+        code, _ = _run(["batch", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "invalid manifest job" in capsys.readouterr().err
 
     def test_invalid_manifest_json(self, tmp_path, capsys):
         path = tmp_path / "m.json"

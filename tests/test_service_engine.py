@@ -202,6 +202,36 @@ class TestSubmitBatch:
         assert results[1].status == "invalid"
 
 
+class TestBadBudgets:
+    """A bad time budget fails its own job as ``invalid``, nothing more."""
+
+    @pytest.mark.parametrize("field", ["timeout", "deadline"])
+    @pytest.mark.parametrize(
+        "value", [-1.0, float("nan"), float("inf"), True], ids=repr
+    )
+    def test_job_rejects_bad_budget(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _job(**{field: value})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_deadline_fails_only_its_job(self, workers):
+        # Regression: the deadline was built outside run_payload's try,
+        # so inline the whole batch raised, and in the pool the worker
+        # died and the job was retried.
+        bad = _job(seed=3, job_id="bad")
+        bad.deadline = -1.0  # after construction, which validates it
+        service = CompileService(CompileCache(), max_workers=workers)
+        try:
+            results = service.submit_batch([bad, _job(seed=4, job_id="good")])
+            pool = service.stats()["pool"] or {}
+        finally:
+            service.close()
+        assert [r.status for r in results] == ["invalid", "ok"]
+        assert results[0].attempts == 1
+        assert "deadline budget" in results[0].error
+        assert pool.get("worker_recycles", 0) == 0
+
+
 class TestFaultTolerance:
     """Timeout and crash handling on the pool path (worker faults)."""
 

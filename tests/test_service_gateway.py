@@ -243,6 +243,23 @@ class TestDeadlines:
         assert stats["service"]["jobs_submitted"] == 0
         gw.close()
 
+    def test_bad_job_deadline_fails_only_that_job(self):
+        # Regression: the bad job's ValueError escaped submit_batch and
+        # every job of its micro-batch reported "gateway dispatch failed".
+        bad = _job(seed=84, job_id="bad")
+        bad.deadline = -1.0  # after construction, which validates it
+        gw = AsyncCompileService(
+            CompileService(CompileCache(), max_workers=1),
+            auto_dispatch=False,
+        )
+        try:
+            handles = [gw.submit(bad), gw.submit(_job(seed=85, job_id="good"))]
+            gw.start()
+            results = [h.wait(timeout=120) for h in handles]
+        finally:
+            gw.close()
+        assert [r.status for r in results] == ["invalid", "ok"]
+
     def test_live_deadline_threads_remaining_budget_into_job(self, service):
         gw = AsyncCompileService(service, auto_dispatch=False)
         handle = gw.submit(_job(seed=81, job_id="live"), deadline=60.0)

@@ -191,11 +191,21 @@ class TestBadRequests:
         assert code == 400 and "priority" in body["error"]
 
     def test_non_numeric_deadline_400(self, stack):
+        # Regression: -1 closed the connection with no response, and
+        # NaN, Infinity (json.loads accepts both) and true passed.
         _, _, _, client = stack
-        code, body, _ = client.post("/jobs", {
-            "qasm": _qasm(9), "device": "ibm_qx4", "deadline": "soon",
-        })
-        assert code == 400 and "deadline" in body["error"]
+        bad = [("deadline", "soon")] + [
+            (name, value)
+            for name in ("deadline", "timeout", "wait_timeout")
+            for value in (-1, float("nan"), float("inf"), True)
+        ]
+        for name, value in bad:
+            code, body, _ = client.post("/jobs", {
+                "qasm": _qasm(9), "device": "ibm_qx4", "wait": True,
+                name: value,
+            })
+            assert code == 400, (name, value, code, body)
+            assert f'"{name}"' in body["error"], (name, value, body)
 
 
 class TestOverloadAndDrain:

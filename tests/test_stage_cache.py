@@ -341,3 +341,37 @@ class TestServiceIntegration:
         assert outcome["status"] == "ok"
         assert "stage_counters" not in outcome
         assert not (tmp_path / "stages-under-faults").exists()
+
+
+class TestRouterSweep:
+    """A router x scheduler sweep through one service and a fresh cache."""
+
+    def test_sweep_reuses_stages_and_matches_fresh_compiles(self):
+        # Every full-pipeline key of the sweep is distinct, so all hits
+        # come from the stage entries: placement is shared by the four
+        # routers, each routed and lowered circuit by three schedulers.
+        device = get_device("ibm_qx5")
+        qasm = to_openqasm(
+            random_circuit(12, 60, seed=42, two_qubit_fraction=0.6)
+        )
+        jobs = [
+            CompileJob.create(
+                qasm, device, PassConfig(router=router, schedule=sched),
+                job_id=f"sweep/{router}/{sched}",
+            )
+            for router in ("sabre", "astar", "naive", "latency")
+            for sched in ("asap", "alap", "constraints")
+        ]
+        service = CompileService(CompileCache(), max_workers=1)
+        try:
+            results = service.submit_batch(jobs)
+            cache = service.stats()["cache"]
+        finally:
+            service.close()
+        for job, res in zip(jobs, results):
+            fresh = compile_with_config(parse_qasm(qasm), device, job.config)
+            assert res.ok and canonical_json(res.artifact) == canonical_json(
+                result_to_artifact(fresh, config=job.config)
+            ), job.job_id
+        assert cache["stage_hits"] + cache["stage_misses"] > 0
+        assert cache["stage_hit_rate"] > 0.5, cache["stage_hit_rate"]

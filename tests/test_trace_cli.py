@@ -52,39 +52,6 @@ class TestMapTrace:
         assert list(tmp_path.glob("*.trace.json")) == []
 
 
-class TestBenchTrace:
-    def test_bench_trace_covers_measured_time(self, tmp_path):
-        trace_path = tmp_path / "bench.trace.json"
-        json_path = tmp_path / "bench.json"
-        code, _ = _run(
-            ["bench", "--json", str(json_path), "--trace", str(trace_path)]
-        )
-        assert code == 0
-        report = json.loads(json_path.read_text())
-        doc = load_trace(trace_path)
-        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        by_case = {}
-        for e in spans:
-            case = e["args"].get("case")
-            if case:
-                by_case[case] = by_case.get(case, 0.0) + e["dur"] / 1e6
-        # Acceptance criterion: per-case routing spans account for >=95%
-        # of each case's measured wall time (the span sits inside the
-        # timed region, so only clock resolution separates the two).
-        for entry in report["cases"]:
-            assert entry["case"] in by_case
-            assert by_case[entry["case"]] >= 0.95 * entry["seconds"]
-        counters = doc["otherData"]["counters"]
-        assert counters.get("sabre.swap_candidates_scored", 0) > 0
-
-    def test_bench_trace_carries_summary_meta(self, tmp_path):
-        trace_path = tmp_path / "bench.trace.json"
-        code, _ = _run(["bench", "--trace", str(trace_path)])
-        assert code == 0
-        doc = load_trace(trace_path)
-        assert doc["otherData"]["bench_summary"]["all_match_seed"] is True
-
-
 class TestBatchTrace:
     def test_batch_trace_and_report(self, tmp_path):
         trace_path = tmp_path / "batch.trace.json"
