@@ -83,13 +83,18 @@ class Circuit:
     # ------------------------------------------------------------------
 
     def append(self, gate: Gate) -> "Circuit":
-        """Append ``gate`` after validating its qubit indices."""
+        """Append ``gate`` after validating its qubit and condition bit indices."""
         for q in gate.qubits:
             if q >= self.num_qubits:
                 raise ValueError(
                     f"gate {gate} addresses qubit {q} but circuit has "
                     f"{self.num_qubits} qubits"
                 )
+        if gate.condition is not None and gate.condition[0] >= self.num_qubits:
+            raise ValueError(
+                f"gate {gate} is conditioned on bit {gate.condition[0]} but "
+                f"circuit has {self.num_qubits} qubits"
+            )
         self._gates.append(gate)
         return self
 

@@ -14,6 +14,8 @@ exactly what hardware realises.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ..core.circuit import Circuit
 from ..core import gates as G
 from ..core.gates import Gate
@@ -36,7 +38,7 @@ def decompose_gate(gate: Gate, device: Device) -> list[Gate]:
     Raises:
         ValueError: when no rule makes progress (non-universal target).
     """
-    if gate.is_barrier or not gate.is_unitary or device.is_native(gate):
+    if device.is_native(gate) or gate.is_barrier or not gate.is_unitary:
         return [gate]
 
     if gate.condition is not None:
@@ -121,19 +123,37 @@ def decompose_circuit(circuit: Circuit, device: Device) -> Circuit:
             ``_MAX_PASSES`` levels, meaning the device's native set is
             not universal for the input.
     """
-    steps: dict[tuple, list[Gate]] = {}
-    level = {_memo_key(gate): gate for gate in circuit.gates}
+    # The memo key of each distinct gate object, computed once: lowered
+    # circuits share gate objects, so most occurrences skip the key.
+    idents = list(map(id, circuit.gates))
+    keys: dict[int, tuple] = {}
+    level: dict[tuple, Gate] = {}
+    for ident, gate in dict(zip(idents, circuit.gates)).items():
+        key = keys[ident] = _memo_key(gate)
+        level[key] = gate
+    # Key -> (replacement, the replacement's keys), the keys ``None``
+    # when the gate is already native.
+    steps: dict[tuple, tuple[list[Gate], list[tuple] | None]] = {}
     for _ in range(_MAX_PASSES):
         changed = False
         produced: dict[tuple, Gate] = {}
         for key, gate in level.items():
-            replacement = steps.get(key)
-            if replacement is None:
-                replacement = steps[key] = decompose_gate(gate, device)
-            if len(replacement) != 1 or replacement[0] != gate:
+            step = steps.get(key)
+            if step is None:
+                replacement = decompose_gate(gate, device)
+                if len(replacement) == 1 and (
+                    replacement[0] is gate or replacement[0] == gate
+                ):
+                    step = steps[key] = (replacement, None)
+                else:
+                    step = steps[key] = (
+                        replacement, [_memo_key(g) for g in replacement]
+                    )
+            replacement, child_keys = step
+            if child_keys is not None:
                 changed = True
-                for g in replacement:
-                    produced.setdefault(_memo_key(g), g)
+                for child_key, g in zip(child_keys, replacement):
+                    produced.setdefault(child_key, g)
         if not changed:
             break
         level = produced
@@ -145,22 +165,22 @@ def decompose_circuit(circuit: Circuit, device: Device) -> Circuit:
 
     expansions: dict[tuple, list[Gate]] = {}
 
-    def expand(key: tuple, gate: Gate) -> list[Gate]:
+    def expand(key: tuple) -> list[Gate]:
         native = expansions.get(key)
         if native is None:
-            replacement = steps[key]
-            if len(replacement) == 1 and replacement[0] == gate:
+            replacement, child_keys = steps[key]
+            if child_keys is None:
                 native = replacement
             else:
                 native = []
-                for g in replacement:
-                    native.extend(expand(_memo_key(g), g))
+                for child_key in child_keys:
+                    native.extend(expand(child_key))
             expansions[key] = native
         return native
 
+    lowered = {ident: expand(key) for ident, key in keys.items()}
     out = Circuit(circuit.num_qubits, name=circuit.name)
-    for gate in circuit.gates:
-        out.gates.extend(expand(_memo_key(gate), gate))
+    out.gates.extend(chain.from_iterable(map(lowered.__getitem__, idents)))
     return out
 
 

@@ -3,8 +3,8 @@
 Superconducting chips share classical control electronics among qubits,
 which "may severely affect the scheduling of quantum operations as it
 will limit the possible parallelism leading to larger circuit depths".
-This module implements a greedy cycle-driven list scheduler enforcing the
-three Surface-17 constraint families described in the paper:
+This module implements a greedy list scheduler enforcing the three
+Surface-17 constraint families described in the paper:
 
 1. **Shared waveform generators.**  Qubits of one frequency group share a
    microwave source: the *same* single-qubit gate may start on several of
@@ -20,33 +20,41 @@ three Surface-17 constraint families described in the paper:
 
 Disable any subset via the keyword flags to measure each family's impact
 (the ablation benchmark of DESIGN.md).
+
+Cost model.  One pass builds what the start test reads: per gate object
+its duration (one device lookup per name), touched lines, parked
+operands and spectators, AWG group, signature and feedline; per gate its
+predecessor count and successors.  At a cycle the ready gates are tried
+in priority order until a sweep starts none; then time jumps to the
+earliest end among the gates in flight.  Every start test compares the
+cycle with such an end (a predecessor's, a busy or parked line's, or a
+running gate's on the same AWG, feedline or entangler), so no verdict
+changes before it: each gate starts at the cycle, and in the order, a
+cycle-by-cycle sweep gives.  The work grows with gate ends, not cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.circuit import Circuit
-from ..core.dag import DependencyGraph
 from ..core.gates import Gate
 from ..devices.device import ControlConstraints, Device
-from .scheduler import Schedule, ScheduledGate, touched_qubits
+from .scheduler import Schedule, ScheduledGate, _durations, touched_qubits
 
 __all__ = ["schedule_with_constraints"]
 
 
-@dataclass
-class _Running:
-    """A gate currently in flight."""
+class _Kind(NamedTuple):
+    """What a gate in flight can hold against another: the AWG group and
+    signature of a single-qubit unitary, the feedline of a measurement or
+    preparation, its name, and whether it is a two-qubit unitary."""
 
-    gate: Gate
-    start: int
-    end: int
-
-
-def _uses_feedline(gate: Gate) -> bool:
-    """Measurements and preparations occupy the readout feedline."""
-    return gate.is_measurement or gate.name == "prep_z"
+    group: int | None
+    signature: tuple | None
+    feedline: int | None
+    name: str
+    two_qubit: bool
 
 
 def schedule_with_constraints(
@@ -88,182 +96,160 @@ def schedule_with_constraints(
     constraints = device.constraints or ControlConstraints()
     if serial_two_qubit is None:
         serial_two_qubit = "serial_two_qubit" in device.features
-    dag = DependencyGraph(circuit)
-    n_gates = len(circuit.gates)
-    done: set[int] = set()
-    finished_at: dict[int, int] = {}
-    ready: set[int] = set(dag.front_layer())
-    items: list[ScheduledGate] = []
-    running: list[_Running] = []
-    qubit_free = [0] * circuit.num_qubits
-    parked_until = [0] * circuit.num_qubits
-    cycle = 0
+    gates = circuit.gates
+    n_gates = len(gates)
+    num_qubits = circuit.num_qubits
+    frequency_group = constraints.frequency_group
+    feedline_of = constraints.feedline
+    durations = _durations(gates, device)
 
-    def duration(gate: Gate) -> int:
-        return 0 if gate.is_barrier else device.duration(gate)
+    def profile(gate: Gate) -> tuple:
+        """What the start test reads about ``gate``: its duration, the
+        lines it touches, the operands that must not be parked, the
+        spectators it parks, and its :class:`_Kind`."""
+        name, qubits = gate.name, gate.qubits
+        touched = qubits
+        if gate.condition is not None or not qubits:
+            touched = touched_qubits(gate, num_qubits)
+        unitary = gate.is_unitary
+        unparked = spectators = ()
+        if parking and (unitary or name == "measure"):
+            unparked = qubits
+            if name == "cz":
+                spectators = tuple(
+                    constraints.parked_qubits(*qubits, device.neighbours)
+                )
+        group = signature = feedline = None
+        if unitary and len(qubits) == 1:
+            group = frequency_group.get(qubits[0])
+            signature = (name, gate.params)
+        elif name == "measure" or name == "prep_z":
+            feedline = feedline_of.get(qubits[0])
+        kind = _Kind(group, signature, feedline, name, unitary and len(qubits) == 2)
+        return durations[name], touched, unparked, spectators, kind
+
+    # One profile per gate object (lowering repeats a gate as the same
+    # object), and the dependency counts and successors per gate.
+    profile_of: dict[int, tuple] = {}
+    profiles: list[tuple] = []
+    preds_left = [0] * n_gates
+    successors: list[list[int]] = [[] for _ in range(n_gates)]
+    last_on = [-1] * num_qubits
+    for index, gate in enumerate(gates):
+        info = profile_of.get(id(gate))
+        if info is None:
+            info = profile_of[id(gate)] = profile(gate)
+        profiles.append(info)
+        touched = info[1]
+        preds = {last_on[q] for q in touched}
+        preds.discard(-1)
+        preds_left[index] = len(preds)
+        for p in preds:
+            successors[p].append(index)
+        for q in touched:
+            last_on[q] = index
 
     # Criticality: duration-weighted longest path from each gate to the
-    # end of the circuit (computed on the reversed topological order).
+    # end of the circuit.  Dependencies point from lower to higher
+    # indices, so a reverse sweep visits successors first.
     criticality = [0] * n_gates
     if priority == "critical":
-        import networkx as nx
-
-        for node in reversed(list(nx.topological_sort(dag.graph))):
-            tail = max(
-                (criticality[s] for s in dag.successors(node)), default=0
+        for index in range(n_gates - 1, -1, -1):
+            criticality[index] = profiles[index][0] + max(
+                (criticality[s] for s in successors[index]), default=0
             )
-            criticality[node] = duration(dag.gate(node)) + tail
 
-    def ready_order() -> list[int]:
-        if priority == "critical":
-            return sorted(ready, key=lambda i: (-criticality[i], i))
-        return sorted(ready)
+    ready = {index for index in range(n_gates) if not preds_left[index]}
+    deps_done_at = [0] * n_gates
+    qubit_free = [0] * num_qubits
+    parked_until = [0] * num_qubits
+    items: list[ScheduledGate] = []
+    # (start, end, kind) of each gate that may still be in flight.
+    running: list[tuple[int, int, _Kind]] = []
 
-    def deps_done_by(index: int) -> int:
-        """First cycle at which all predecessors have finished."""
-        return max(
-            (finished_at[p] for p in dag.predecessors(index)),
-            default=0,
-        )
-
-    def awg_conflict(gate: Gate, start: int) -> bool:
-        """Different 1q gates cannot share a frequency group concurrently."""
-        if not awg or len(gate.qubits) != 1 or not gate.is_unitary:
-            return False
-        group = constraints.frequency_group.get(gate.qubits[0])
-        if group is None:
-            return False
-        signature = (gate.name, gate.params)
-        for run in running:
-            other = run.gate
-            if len(other.qubits) != 1 or not other.is_unitary:
-                continue
-            if constraints.frequency_group.get(other.qubits[0]) != group:
-                continue
-            if run.start == start and (other.name, other.params) == signature:
-                continue  # identical gate co-starting: allowed
-            if run.end > start:
-                return True
-        return False
-
-    def feedline_conflict(gate: Gate, start: int) -> bool:
-        """Feedline operations (measure, prep) share the readout line.
-
-        Same-kind operations on one feedline may start together; a new
-        one cannot start while a different one (or a non-co-started one)
-        is still in flight.
-        """
-        if not feedlines or not _uses_feedline(gate):
-            return False
-        line = constraints.feedline.get(gate.qubits[0])
-        if line is None:
-            return False
-        for run in running:
-            if not _uses_feedline(run.gate):
-                continue
-            if constraints.feedline.get(run.gate.qubits[0]) != line:
-                continue
-            if run.start == start and run.gate.name == gate.name:
-                continue  # identical kind co-starting: one shared tone
-            if run.end > start:
-                return True
-        return False
-
-    def parking_conflicts(gate: Gate, start: int, dur: int) -> bool:
-        """Check parking in both directions for a candidate gate."""
-        # The candidate's operands must not be parked.
-        for q in gate.qubits:
-            if parked_until[q] > start:
-                return True
-        if not parking or gate.name != "cz":
-            return False
-        parked = constraints.parked_qubits(
-            gate.qubits[0], gate.qubits[1], device.neighbours
-        )
-        # Parked spectators must be idle for the whole CZ window; since
-        # we only look at current occupancy, require them free by start
-        # and not running anything that overlaps [start, start + dur).
-        for q in parked:
+    def blocked(index: int, start: int) -> bool:
+        if deps_done_at[index] > start:
+            return True
+        _, lines, unparked, spectators, kind = profiles[index]
+        for q in lines:
             if qubit_free[q] > start:
                 return True
+        for q in unparked:
+            if parked_until[q] > start:
+                return True
+        # Parked spectators must be idle for the whole CZ window; since
+        # we only look at current occupancy, require them free by start.
+        for q in spectators:
+            if qubit_free[q] > start:
+                return True
+        group, signature, feedline, name, two_qubit = kind
+        if awg and group is not None:
+            # Different 1q gates cannot share a frequency group
+            # concurrently; an identical gate may co-start.
+            for run_start, run_end, other in running:
+                if other.group == group and run_end > start and not (
+                    run_start == start and other.signature == signature
+                ):
+                    return True
+        if feedlines and feedline is not None:
+            # Same-kind feedline operations may start together (one
+            # shared tone); a different or earlier one blocks the line.
+            for run_start, run_end, other in running:
+                if other.feedline == feedline and run_end > start and not (
+                    run_start == start and other.name == name
+                ):
+                    return True
+        if serial_two_qubit and two_qubit:
+            for _, run_end, other in running:
+                if other.two_qubit and run_end > start:
+                    return True
         return False
 
-    def can_start(index: int, start: int) -> bool:
-        gate = dag.gate(index)
-        if deps_done_by(index) > start:
-            return False
-        qubits = touched_qubits(gate, circuit.num_qubits)
-        if any(qubit_free[q] > start for q in qubits):
-            return False
-        dur = duration(gate)
-        if gate.is_unitary or gate.is_measurement:
-            if parking_conflicts(gate, start, dur):
-                return False
-        if awg_conflict(gate, start):
-            return False
-        if feedline_conflict(gate, start):
-            return False
-        if (
-            serial_two_qubit
-            and gate.is_unitary
-            and len(gate.qubits) == 2
-            and any(
-                run.gate.is_unitary and len(run.gate.qubits) == 2
-                for run in running
-                if run.end > start
-            )
-        ):
-            return False
-        return True
-
     def start_gate(index: int, start: int) -> None:
-        gate = dag.gate(index)
-        dur = duration(gate)
-        items.append(ScheduledGate(gate, start, dur))
-        running.append(_Running(gate, start, start + dur))
-        qubits = touched_qubits(gate, circuit.num_qubits)
-        for q in qubits:
-            qubit_free[q] = start + dur
-        if parking and gate.name == "cz":
-            for q in constraints.parked_qubits(
-                gate.qubits[0], gate.qubits[1], device.neighbours
-            ):
-                parked_until[q] = max(parked_until[q], start + dur)
-        done.add(index)
-        finished_at[index] = start + dur
+        duration, lines, _, spectators, kind = profiles[index]
+        end = start + duration
+        items.append(ScheduledGate(gates[index], start, duration))
+        running.append((start, end, kind))
+        for q in lines:
+            qubit_free[q] = end
+        for q in spectators:
+            parked_until[q] = max(parked_until[q], end)
         ready.discard(index)
-        for succ in dag.successors(index):
-            if all(p in done for p in dag.predecessors(succ)):
+        for succ in successors[index]:
+            if deps_done_at[succ] < end:
+                deps_done_at[succ] = end
+            preds_left[succ] -= 1
+            if not preds_left[succ]:
                 ready.add(succ)
 
-    safety = 0
-    max_cycles = 64 * (sum(duration(g) for g in circuit.gates) + n_gates + 4)
-    while len(done) < n_gates:
-        running = [run for run in running if run.end > cycle]
+    # Default: the original program order, deterministic and close to
+    # the paper's hand schedules; "critical" prefers long dependency tails.
+    order = (lambda i: (-criticality[i], i)) if priority == "critical" else None
+    cycle = 0
+    while len(items) < n_gates:
+        running = [run for run in running if run[1] > cycle]
         started = True
         while started:
             started = False
-            # Default: the original program order, deterministic and
-            # close to the paper's hand schedules; "critical" prefers
-            # long dependency tails.
-            for index in ready_order():
-                if index in done:
-                    continue
-                if can_start(index, cycle):
+            for index in sorted(ready, key=order):
+                if not blocked(index, cycle):
                     start_gate(index, cycle)
                     started = True
-        cycle += 1
-        safety += 1
-        if safety > max_cycles:
+        if len(items) == n_gates:
+            break
+        # Every start test compares against the end of a gate in flight,
+        # so no gate can start before the earliest such end.
+        ends = [run[1] for run in running if run[1] > cycle]
+        if not ends:
             raise RuntimeError(
                 "constraint scheduler exceeded its cycle budget; "
                 "constraints are unsatisfiable or inconsistent"
             )
+        cycle = min(ends)
 
-    schedule = Schedule(
+    return Schedule(
         items,
         circuit.num_qubits,
         device.cycle_time_ns,
         metadata={"awg": awg, "feedlines": feedlines, "parking": parking},
     )
-    return schedule

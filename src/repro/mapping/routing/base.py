@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...core.circuit import Circuit
+from ...core.gates import Gate
 from ...devices.device import Device
 from ..placement import Placement
 
@@ -72,16 +73,25 @@ class RoutingResult:
 
 
 def check_connectivity(circuit: Circuit, device: Device) -> None:
-    """Raise :class:`RoutingError` if any 2-qubit gate is on unconnected qubits."""
-    for index, gate in enumerate(circuit.gates):
-        if len(gate.qubits) == 2 and gate.is_unitary:
-            a, b = gate.qubits
-            if not device.connected(a, b):
-                raise RoutingError(
-                    f"gate #{index} ({gate}) acts on unconnected qubits"
-                )
-        elif len(gate.qubits) > 2:
-            raise RoutingError(
-                f"gate #{index} ({gate}) has more than two qubits; "
-                "decompose before routing"
-            )
+    """Raise :class:`RoutingError` if any 2-qubit gate is on unconnected qubits.
+
+    Each distinct gate object is checked once (lowering repeats a gate
+    as the same object); only when one fails is the circuit scanned for
+    the first offending gate, whose index the message names.
+    """
+    distinct = dict(zip(map(id, circuit.gates), circuit.gates)).values()
+    if any(_connectivity_problem(g, device) for g in distinct):
+        for index, gate in enumerate(circuit.gates):
+            if problem := _connectivity_problem(gate, device):
+                raise RoutingError(f"gate #{index} ({gate}) {problem}")
+
+
+def _connectivity_problem(gate: Gate, device: Device) -> str:
+    """Why ``gate`` cannot follow routing on ``device``, or ``""``."""
+    if len(gate.qubits) == 2 and gate.is_unitary:
+        a, b = gate.qubits
+        if not device.connected(a, b):
+            return "acts on unconnected qubits"
+    elif len(gate.qubits) > 2:
+        return "has more than two qubits; decompose before routing"
+    return ""

@@ -15,11 +15,17 @@ Two entry points:
   dependencies between them");
 * :func:`schedule_with_constraints` in :mod:`repro.mapping.control` —
   additionally enforces shared-AWG, feedline and CZ-parking rules.
+
+Cost model.  ASAP and ALAP make one pass over the gates.  A call asks
+the device for each gate name's duration once, and only conditioned
+gates and operand-less barriers go through :func:`touched_qubits`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
+
 from ..core.circuit import Circuit
 from ..core.gates import Gate
 from ..devices.device import Device
@@ -138,21 +144,46 @@ def touched_qubits(gate: Gate, num_qubits: int) -> tuple[int, ...]:
     return qubits
 
 
+def _durations(gates: list[Gate], device: Device) -> dict[str, int]:
+    """Cycles per gate name, asked of the device once; barriers take none."""
+    names = {gate.name for gate in gates}
+    return {name: 0 if name == "barrier" else device.duration(name) for name in names}
+
+
+def _asap_starts(
+    gates: list[Gate], num_qubits: int, device: Device
+) -> tuple[list[int], list[int]]:
+    """Start cycle and duration of each of ``gates``, scheduled ASAP in order."""
+    free_at = [0] * num_qubits
+    durations = _durations(gates, device)
+    starts: list[int] = []
+    lengths: list[int] = []
+    for gate in gates:
+        qubits = gate.qubits
+        if gate.condition is not None or not qubits:
+            qubits = touched_qubits(gate, num_qubits)
+        duration = durations[gate.name]
+        if len(qubits) == 1:
+            (q,) = qubits
+            start = free_at[q]
+            free_at[q] = start + duration
+        else:
+            start = max(map(free_at.__getitem__, qubits), default=0)
+            for q in qubits:
+                free_at[q] = start + duration
+        starts.append(start)
+        lengths.append(duration)
+    return starts, lengths
+
+
 def asap_schedule(circuit: Circuit, device: Device) -> Schedule:
     """As-soon-as-possible schedule under dependencies and durations.
 
     Every gate starts at the first cycle where all its operand qubits are
     free; barriers synchronise their qubits without taking time.
     """
-    free_at = [0] * circuit.num_qubits
-    items: list[ScheduledGate] = []
-    for gate in circuit.gates:
-        qubits = touched_qubits(gate, circuit.num_qubits)
-        start = max((free_at[q] for q in qubits), default=0)
-        duration = 0 if gate.is_barrier else device.duration(gate)
-        items.append(ScheduledGate(gate, start, duration))
-        for q in qubits:
-            free_at[q] = start + duration
+    starts, durations = _asap_starts(circuit.gates, circuit.num_qubits, device)
+    items = list(map(ScheduledGate, circuit.gates, starts, durations))
     return Schedule(items, circuit.num_qubits, device.cycle_time_ns)
 
 
@@ -162,18 +193,9 @@ def alap_schedule(circuit: Circuit, device: Device) -> Schedule:
     Computed by ASAP-scheduling the reversed gate list and mirroring the
     start times.
     """
-    free_at = [0] * circuit.num_qubits
-    reversed_items: list[tuple[Gate, int, int]] = []
-    for gate in reversed(circuit.gates):
-        qubits = touched_qubits(gate, circuit.num_qubits)
-        start = max((free_at[q] for q in qubits), default=0)
-        duration = 0 if gate.is_barrier else device.duration(gate)
-        reversed_items.append((gate, start, duration))
-        for q in qubits:
-            free_at[q] = start + duration
-    total = max((start + dur for _, start, dur in reversed_items), default=0)
-    items = [
-        ScheduledGate(gate, total - (start + dur), dur)
-        for gate, start, dur in reversed(reversed_items)
-    ]
+    starts, durations = _asap_starts(circuit.gates[::-1], circuit.num_qubits, device)
+    total = max(map(add, starts, durations), default=0)
+    ends = map(add, reversed(starts), reversed(durations))
+    mirrored = [total - end for end in ends]
+    items = list(map(ScheduledGate, circuit.gates, mirrored, durations[::-1]))
     return Schedule(items, circuit.num_qubits, device.cycle_time_ns)

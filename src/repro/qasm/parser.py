@@ -18,10 +18,11 @@ OpenQASM 2.0 subset those gate lists use:
 Custom ``gate`` definitions and ``opaque`` are outside the subset and
 raise :class:`QasmError` with a position, as does every other malformed
 statement, including a gate given the wrong number of operands or the
-same operand twice, and a parameter expression that divides by zero,
-nests more than :data:`MAX_EXPRESSION_DEPTH` parentheses and signs
-deep, or reaches a value that is not finite (``1e400``, ``inf``,
-``nan``).
+same operand twice, a condition on a bit ``c<N>`` that names no qubit
+(checked once every register is declared), and a parameter expression
+that divides by zero, nests more than :data:`MAX_EXPRESSION_DEPTH`
+parentheses and signs deep, or reaches a value that is not finite
+(``1e400``, ``inf``, ``nan``).
 
 Cost model.  The compile service stores every artefact and stage entry
 as OpenQASM text, so each cache hit pays for a parse.  A call scans the
@@ -270,7 +271,8 @@ def parse_qasm(source: str) -> Circuit:
 
     Raises:
         QasmError: on syntax errors, unsupported constructs, gates
-            whose operands do not fit them, and parameter expressions
+            whose operands do not fit them, conditions on a bit that
+            names no qubit, and parameter expressions
             that divide by zero, nest too deep or are not finite; always
             with the offending statement's line and column.
     """
@@ -279,6 +281,9 @@ def parse_qasm(source: str) -> Circuit:
     # Statement text -> the gates it produced.  Local to this call, so
     # no parse is ever answered from another call's work.
     parsed: dict[str, tuple[Gate, ...]] = {}
+    # (line, column, bit) of each conditioning statement, checked once
+    # every qreg is read: a later one can add the qubit a bit names.
+    conditions: list[tuple[int, int, int]] = []
     for line, col, statement in _statements(source):
         produced = parsed.get(statement)
         if produced is None:
@@ -294,9 +299,19 @@ def parse_qasm(source: str) -> Circuit:
             if produced is None:
                 continue  # a qreg declaration is state, never reused
             parsed[statement] = produced
+            if produced and produced[0].condition is not None:
+                conditions.append((line, col, produced[0].condition[0]))
         gates += produced
 
-    return Circuit(sum(reg.size for reg in registers.values()), gates)
+    num_qubits = sum(reg.size for reg in registers.values())
+    for line, col, bit in conditions:
+        if bit >= num_qubits:
+            raise QasmError(
+                f"condition bit c{bit} names no qubit; the program "
+                f"declares {num_qubits}",
+                line, col,
+            )
+    return Circuit(num_qubits, gates)
 
 
 def _statement_gates(

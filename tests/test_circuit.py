@@ -22,6 +22,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             circuit.h(2)
 
+    def test_append_validates_condition_bit(self):
+        # Regression: a condition on bit 5 of a two-qubit circuit was
+        # accepted, though no qubit line carries that bit.
+        circuit = Circuit(2)
+        with pytest.raises(ValueError, match="conditioned on bit 5"):
+            circuit.append(G.Gate("x", (0,), condition=(5, 1)))
+        circuit.append(G.Gate("x", (0,), condition=(1, 1)))
+        assert len(circuit) == 1
+
     def test_builder_chaining(self):
         circuit = Circuit(2).h(0).cnot(0, 1).measure(1)
         assert [g.name for g in circuit] == ["h", "cnot", "measure"]

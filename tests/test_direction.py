@@ -67,6 +67,24 @@ class TestFixing:
         with pytest.raises(ValueError):
             fix_directions(circuit, device)
 
+    def test_flipped_conditioned_cnot_keeps_its_condition(self):
+        # Regression: the reversed CNOT and its four Hadamards came out
+        # unconditioned, so the CNOT fired on every shot.
+        from repro.core.gates import Gate
+
+        circuit = Circuit(2).h(1).measure(1)
+        circuit.append(Gate("cnot", (1, 0), condition=(1, 1)))
+        circuit.append(Gate("cnot", (1, 0), condition=(1, 0)))
+        circuit.append(Gate("cnot", (1, 0)))
+        fixed, flips = fix_directions(circuit, _directed_pair())
+        assert flips == 3
+        blocks = [fixed.gates[2 + 5 * k: 7 + 5 * k] for k in range(3)]
+        for block, condition in zip(blocks, [(1, 1), (1, 0), None]):
+            assert [(g.name, g.qubits) for g in block] == [
+                ("h", (1,)), ("h", (0,)), ("cnot", (0, 1)), ("h", (1,)), ("h", (0,))
+            ]
+            assert {g.condition for g in block} == {condition}
+
     def test_flip_count_matches_counter(self, qx4):
         circuit = Circuit(5).cnot(0, 1).cnot(1, 0).cnot(0, 2).cnot(2, 0)
         wrong = count_wrong_directions(circuit, qx4)

@@ -35,6 +35,29 @@ class TestEndToEnd:
             circuit, result.native, result.routed.initial, result.routed.final
         )
 
+    def test_flipped_conditioned_cnot_fires_only_on_its_condition(self, qx5):
+        # Regression: on QX5, cx q[0],q[1] runs as cnot q1,q0 between
+        # Hadamards, and the direction fix dropped the condition from all
+        # five gates.  q[1] is reset, so it measures 0 and the CNOT must
+        # not fire; firing it entangles q[0] with q[1].
+        from repro.qasm import parse_qasm
+        from repro.verify import equivalent_mapped_with_feedforward
+
+        circuit = parse_qasm(
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c0[1];\ncreg c1[1];\n"
+            "reset q[1];\nmeasure q[1] -> c1[0];\nif(c1==1) cx q[0],q[1];\n"
+        )
+        result = compile_circuit(circuit, qx5, placer="trivial")
+        assert result.flips == 1
+        assert all(
+            gate.condition == (1, 1)
+            for gate in result.native.gates
+            if gate.is_unitary
+        )
+        assert equivalent_mapped_with_feedforward(
+            circuit, result.native, result.routed.initial, result.routed.final
+        )
+
     def test_qft_compiles_everywhere(self):
         circuit = qft(4)
         for device_name in DEVICES:

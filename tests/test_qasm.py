@@ -299,6 +299,31 @@ class TestWriters:
         with pytest.raises(QasmError, match="0 or 1"):
             parse_qasm("qreg q[1]; creg c0[1]; if(c0==2) x q[0];")
 
+    @pytest.mark.parametrize("bit", [2, 5, 40])
+    def test_condition_bit_that_names_no_qubit_is_positioned(self, bit):
+        # Regression: c5 on two qubits parsed (a gate conditioned on a
+        # bit nothing measures), and c40 ended in a bare IndexError in
+        # the scheduler.
+        source = (
+            f"OPENQASM 2.0;\nqreg q[2];\ncreg c{bit}[1];\n"
+            f"h q[1];  if(c{bit}==1) x q[0];\nif(c{bit}==1) x q[0];\n"
+        )
+        with pytest.raises(QasmError) as excinfo:
+            parse_qasm(source)
+        err = excinfo.value
+        assert (err.line, err.column) == (4, 10)
+        assert err.message == (
+            f"condition bit c{bit} names no qubit; the program declares 2"
+        )
+
+    def test_condition_bit_checked_after_every_register(self):
+        # A qreg declared after the conditioned gate adds the qubit.
+        circuit = parse_qasm(
+            "qreg q[2]; creg c3[1]; if(c3==1) x q[0]; qreg r[2]; measure r[1] -> c3[0];"
+        )
+        assert circuit.num_qubits == 4
+        assert circuit.gates[0].condition == (3, 1)
+
     def test_cqasm_header(self, ghz3):
         text = to_cqasm(ghz3)
         assert text.startswith("version 1.0\nqubits 3")

@@ -9,7 +9,7 @@ On every input below both must return the same circuit, compared by
 that turns into ``0.0`` counts as a difference), or raise the same
 exception type with the same message.
 
-Three deliberate differences:
+Four deliberate differences:
 
 * a gate given operands it rejects (wrong arity, a repeated qubit) made
   the earlier parser leak ``Gate``'s bare ``ValueError``; it is now a
@@ -22,7 +22,13 @@ Three deliberate differences:
   stopped at its first ``)``, so it always raised; it now runs to its
   matching ``)``.  Writer output with its parameters wrapped in
   parentheses must parse to the earlier parser's gates for the
-  unwrapped output, and a list with no matching ``)`` fails as before.
+  unwrapped output, and a list with no matching ``)`` fails as before;
+* a condition on a bit that names no qubit (``if(c5==1)`` with two
+  qubits, as a mutated digit makes it) built a gate that
+  :meth:`Circuit.append <repro.core.circuit.Circuit.append>` now
+  rejects, so the earlier parser raises that ``ValueError``; the parser
+  reports it as a positioned :class:`QasmError` once every register is
+  read.
 
 Inputs: writer output of random circuits, the same statements
 hand-formatted, sources that declare a second register between gates,
@@ -208,9 +214,25 @@ def _not_finite(outcome: tuple) -> bool:
     )
 
 
+#: ``Circuit.append``'s message for a condition bit past the last qubit.
+_CONDITION_BIT = re.compile(
+    r"gate .+ is conditioned on bit (\d+) but circuit has (\d+) qubits"
+)
+
+
 def assert_parses_as_before(source: str) -> None:
     expected = _outcome(qasm_reference.parse_qasm, source)
     actual = _outcome(parse_qasm, source)
+    condition_bit = expected[0] == "raised" and _CONDITION_BIT.fullmatch(expected[2])
+    if condition_bit:
+        # A condition bit that names no qubit, now checked by the parser.
+        assert actual[0] == "raised" and actual[1] is QasmError, actual
+        assert re.fullmatch(
+            r"line \d+, col \d+: condition bit c\d+ names no qubit; "
+            rf"the program declares {condition_bit.group(2)}",
+            actual[2],
+        ), actual[2]
+        return
     if expected[0] == "raised" and expected[1] is ValueError:
         # Gate's own operand check, now reported with a position.
         assert actual[0] == "raised" and actual[1] is QasmError, actual
@@ -278,6 +300,7 @@ def test_second_register_sources_parse_as_before(source):
 @example("OPENQASM 2.0;\nqreg q[1];\nrx(-(pi/2) q[0];\nh q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[1];\nrx(1)) q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[1];\nrx((1));\n")
+@example("OPENQASM 2.0;\nqreg q[2];\ncreg c5[1];\nif(c5==1) x q[0];\n")
 def test_mutated_sources_parse_as_before(source):
     assert_parses_as_before(source)
 

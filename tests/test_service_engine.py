@@ -98,6 +98,24 @@ class TestSubmit:
         assert res.status == "invalid" and res.artifact is None
         assert res.error.startswith("QasmError: line 3, col 1: ")
 
+    @pytest.mark.parametrize("bit", [5, 40])
+    def test_condition_bit_that_names_no_qubit_is_an_invalid_job(self, bit):
+        # Regression: c5 compiled "ok" to a gate conditioned on a bit
+        # nothing measures; c40 failed with "IndexError: list index out
+        # of range" from the scheduler.
+        qasm = (
+            f"OPENQASM 2.0;\nqreg q[2];\ncreg c{bit}[1];\n"
+            f"if(c{bit}==1) x q[0];\n"
+        )
+        job = CompileJob.create(qasm, get_device("ibm_qx5"))
+        assert job.qasm == qasm
+        res = CompileService(CompileCache()).submit(job)
+        assert res.status == "invalid" and res.artifact is None
+        assert res.error == (
+            f"QasmError: line 4, col 1: condition bit c{bit} names no "
+            "qubit; the program declares 2"
+        )
+
     def test_memory_hit_artifact_is_the_callers_own(self):
         # Regression: a memory hit handed out the cache's own dict, so a
         # caller's edit reached every later hit (JobResult.metrics and
