@@ -21,18 +21,28 @@ peephole repertoire:
 
 All passes preserve the circuit unitary up to global phase, and a
 classically conditioned gate never joins a cancellation, merge or
-fusion.  Each pass is one O(n) sweep with no numpy arithmetic; the
-driver :func:`optimize_circuit` iterates them to a fixed point.
+fusion.  None uses numpy.
+
+Cost model, for n gates of bounded arity: cancellation and merging are
+each one forward sweep over an array holding the last gate on each
+wire, O(n).  Fusion does one scalar 2x2 product per gate; per call it
+computes the entries of each distinct gate object and synthesises each
+distinct (qubit, run product) once, in tables that die with the call.
+The driver :func:`optimize_circuit` iterates the passes to a fixed
+point on plain gate lists, threads one pair of fusion tables through
+its rounds, and builds one :class:`Circuit` at the end.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 from ..core.circuit import Circuit
 from ..core import gates as G
 from ..core.gates import Gate, product_2x2
 from ..decompose.euler import is_unitary, u_angles
+from ..obs import add_counter
 
 __all__ = [
     "cancel_inverse_pairs",
@@ -60,6 +70,9 @@ _IDENTITY = G.GATE_SPECS["i"].entries(())
 # ``np.allclose(m, m[0, 0] * I, atol=1e-9)``: |a - b| <= atol + rtol * |b|.
 _PHASE_ATOL = 1e-9
 _RTOL = 1e-5
+# The bit patterns of a run product's eight floats: a key that keeps
+# 0.0 and -0.0 apart, which complex equality does not.
+_PACK = struct.Struct("8d").pack
 
 
 def _is_identity_angle(angle: float) -> bool:
@@ -80,58 +93,6 @@ def _rebuilt(circuit: Circuit, gates: list[Gate]) -> Circuit:
     return out
 
 
-def _wire_successors(circuit: Circuit) -> tuple[list, list]:
-    """Per-wire successor links of every gate.
-
-    Returns ``(wires, successors)``: ``wires[i]`` is the qubits gate
-    ``i`` touches (a barrier without qubits touches every wire) and
-    ``successors[i][k]`` is the index of the next gate on wire
-    ``wires[i][k]``, or ``None`` when gate ``i`` is the last there.
-    """
-    every = tuple(range(circuit.num_qubits))
-    # The successor list and slot of the last gate seen on each wire; a
-    # wire no gate has touched yet points into a discarded list.
-    last_after: list[list] = [[None]] * circuit.num_qubits
-    last_slot = [0] * circuit.num_qubits
-    wires: list[tuple[int, ...]] = []
-    successors: list[list[int | None]] = []
-    for index, gate in enumerate(circuit.gates):
-        qubits = gate.qubits or every
-        after = [None] * len(qubits)
-        wires.append(qubits)
-        successors.append(after)
-        for k, q in enumerate(qubits):
-            last_after[q][last_slot[q]] = index
-            last_after[q] = after
-            last_slot[q] = k
-    return wires, successors
-
-
-def _next_on_same_wires(wires: list, successors: list, index: int) -> int | None:
-    """The gate after ``index`` on its wires, if it touches exactly them.
-
-    That is the first later gate touching any wire of gate ``index``,
-    provided it touches all of them and no other; a gate overlapping
-    them partially blocks the line, and ``None`` comes back, as it does
-    when no later gate touches them.
-
-    The sweeps below ask this of each gate once, in circuit order, and
-    remove only gates it returned: such a gate's predecessor on each of
-    its wires is the gate it was returned for, which was asked about
-    already.  So no gate asked about later has a removed gate as its
-    direct successor, and the answer is the first later gate not yet
-    removed, the one a forward rescan finds.
-    """
-    after = successors[index]
-    first = after[0]
-    if first is None or len(wires[first]) != len(after):
-        return None
-    for other in after:
-        if other != first:
-            return None
-    return first
-
-
 def cancel_inverse_pairs(circuit: Circuit) -> Circuit:
     """Remove adjacent mutually-inverse gate pairs.
 
@@ -140,28 +101,37 @@ def cancel_inverse_pairs(circuit: Circuit) -> Circuit:
     gates), and no intervening gate touches any of those qubits.  A
     classically conditioned gate never cancels: :meth:`Gate.inverse`
     refuses it, and it differs from every unconditioned gate.  One
-    sweep in O(n) for n gates of bounded arity, over per-wire successor
-    links and removal flags; run under :func:`optimize_circuit` for
-    cascading cancels.
+    forward sweep; a cancelled pair still blocks its wires for the rest
+    of it, so run under :func:`optimize_circuit` for cascading cancels.
     """
-    gates = circuit.gates
-    wires, successors = _wire_successors(circuit)
+    return _rebuilt(circuit, _cancel(circuit.gates, circuit.num_qubits))
+
+
+def _cancel(gates: list[Gate], num_qubits: int) -> list[Gate]:
+    # ``last[q]`` is the position of the latest gate on wire q (a barrier
+    # without qubits sits on every wire).  When p is ``last`` on every
+    # wire of g, g follows p directly on each of its wires, all of which
+    # p touches; the inverse test compares operand sets, so the two act
+    # on the same wires.  A removed gate stays ``last``: a cancelled pair
+    # blocks its wires for the rest of the sweep.
+    every = range(num_qubits)
+    last = [-1] * num_qubits
     removed = [False] * len(gates)
     for index, gate in enumerate(gates):
-        if removed[index] or gate.name not in _CANCELLABLE:
-            continue
-        partner = _next_on_same_wires(wires, successors, index)
-        if partner is None:
-            continue
-        other = gates[partner]
-        if other.name != _INVERSE_NAME[gate.name]:
-            continue  # not the inverse, nor a measure, prep or barrier
-        if not _are_inverses(gate, other):
-            continue
-        removed[index] = removed[partner] = True
-    return _rebuilt(
-        circuit, [gate for gate, gone in zip(gates, removed) if not gone]
-    )
+        qubits = gate.qubits or every
+        if gate.name in _CANCELLABLE:
+            p = last[qubits[0]]
+            if p >= 0 and not removed[p]:
+                other = gates[p]
+                if (
+                    _INVERSE_NAME.get(other.name) == gate.name
+                    and all(last[q] == p for q in qubits)
+                    and _are_inverses(other, gate)
+                ):
+                    removed[p] = removed[index] = True
+        for q in qubits:
+            last[q] = index
+    return [gate for gate, gone in zip(gates, removed) if not gone]
 
 
 def _are_inverses(a: Gate, b: Gate) -> bool:
@@ -185,45 +155,54 @@ def merge_rotations(circuit: Circuit) -> Circuit:
     full turns are dropped entirely.  Angles are summed left to right.
     A classically conditioned rotation never merges, neither as the
     first rotation nor as a later one; it passes through unchanged.
-    One sweep in O(n) for n gates of bounded arity: per-wire successor
-    links lead from each rotation to the next, and merged gates are
-    flagged as removed rather than deleted from a list.
+    One forward sweep: a rotation joins the chain of the latest gate on
+    all its wires when that chain's first rotation has its name and
+    operands.
     """
-    gates = circuit.gates
-    wires, successors = _wire_successors(circuit)
-    removed = [False] * len(gates)
-    out: list[Gate] = []
+    return _rebuilt(circuit, _merge(circuit.gates, circuit.num_qubits))
+
+
+def _merge(gates: list[Gate], num_qubits: int) -> list[Gate]:
+    every = range(num_qubits)
+    last = [-1] * num_qubits
+    # chain[i]: the slot in ``out`` of the head of gate i's chain, or -1.
+    chain = [-1] * len(gates)
+    out: list[Gate | None] = []
+    sums: dict[int, float] = {}
+    merged: set[int] = set()
     for index, gate in enumerate(gates):
-        if removed[index]:
-            continue
-        if gate.name not in _ROTATIONS or gate.condition is not None:
-            out.append(gate)
-            continue
-        angle = gate.params[0]
-        merged = False
-        cursor = index
-        while True:
-            nxt = _next_on_same_wires(wires, successors, cursor)
-            if nxt is None:
-                break
-            other = gates[nxt]
-            same_operands = other.qubits == gate.qubits or (
-                other.spec.symmetric
-                and set(other.qubits) == set(gate.qubits)
-            )
+        qubits = gate.qubits or every
+        if gate.name in _ROTATIONS and gate.condition is None:
+            p = last[qubits[0]]
+            slot = chain[p] if p >= 0 else -1
+            head = out[slot] if slot >= 0 else None
             if (
-                other.name == gate.name
-                and same_operands
-                and other.condition is None
+                head is not None
+                and head.name == gate.name
+                and all(last[q] == p for q in qubits)
+                and (
+                    head.qubits == gate.qubits
+                    or (gate.spec.symmetric
+                        and set(head.qubits) == set(gate.qubits))
+                )
             ):
-                angle += other.params[0]
-                removed[nxt] = merged = True
-                cursor = nxt
-                continue
-            break
-        if not _is_identity_angle(angle):
-            out.append(Gate(gate.name, gate.qubits, (angle,)) if merged else gate)
-    return _rebuilt(circuit, out)
+                sums[slot] += gate.params[0]
+                merged.add(slot)
+            else:
+                slot = len(out)
+                sums[slot] = gate.params[0]
+                out.append(gate)
+            chain[index] = slot
+        else:
+            out.append(gate)
+        for q in qubits:
+            last[q] = index
+    for slot, angle in sums.items():
+        if _is_identity_angle(angle):
+            out[slot] = None
+        elif slot in merged:
+            out[slot] = Gate(out[slot].name, out[slot].qubits, (angle,))
+    return [gate for gate in out if gate is not None]
 
 
 def fuse_single_qubit_runs(circuit: Circuit, *, emit: str = "u") -> Circuit:
@@ -247,47 +226,83 @@ def fuse_single_qubit_runs(circuit: Circuit, *, emit: str = "u") -> Circuit:
     Raises:
         ValueError: when a run's product is not unitary.
     """
-    if emit not in ("u", "zyz"):
-        raise ValueError(f"unknown emit mode {emit!r}")
-    out: list[Gate] = []
-    pending: dict[int, tuple[complex, ...]] = {}
+    return _rebuilt(circuit, _Fusion(emit)(circuit.gates, circuit.num_qubits))
 
-    def flush(qubit: int) -> None:
-        entries = pending.pop(qubit, None)
-        if entries is None:
-            return
+
+class _Fusion:
+    """Single-qubit fusion with tables that live as long as the object.
+
+    ``entries`` maps the ``id`` of each gate object to the gate (which
+    keeps the id from being reused) and its 2x2 entries, or ``None``
+    when it ends runs.  ``runs`` maps a qubit and the bit patterns of a
+    run product to the gates the run becomes.  ``fused`` counts the runs
+    multiplied out, ``synthesised`` those that reached :func:`u_angles`.
+    """
+
+    def __init__(self, emit: str) -> None:
+        self.emit = emit
+        self.entries: dict[int, tuple] = {}
+        self.runs: dict[tuple[int, bytes], tuple[Gate, ...]] = {}
+        self.fused = self.synthesised = 0
+
+    def __call__(self, gates: list[Gate], num_qubits: int) -> list[Gate]:
+        if self.emit not in ("u", "zyz"):
+            raise ValueError(f"unknown emit mode {self.emit!r}")
+        known = self.entries
+        run_gates = self._run_gates
+        out: list[Gate] = []
+        pending: dict[int, tuple[complex, ...]] = {}
+        every = tuple(range(num_qubits))
+        for gate in gates:
+            hit = known.get(id(gate))
+            if hit is None:
+                make = gate.spec.entries
+                fusable = make is not None and gate.condition is None
+                hit = known[id(gate)] = (
+                    gate, make(gate.params) if fusable else None
+                )
+            entries = hit[1]
+            if entries is not None:
+                q = gate.qubits[0]
+                pending[q] = product_2x2(entries, pending.get(q, _IDENTITY))
+                continue
+            touched = gate.qubits or every
+            if gate.condition is not None and gate.condition[0] not in touched:
+                touched = touched + (gate.condition[0],)
+            for q in touched:
+                product = pending.pop(q, None)
+                if product is not None:
+                    out.extend(run_gates(q, product))
+            out.append(gate)
+        for q in sorted(pending):
+            out.extend(run_gates(q, pending[q]))
+        return out
+
+    def _run_gates(self, qubit: int, entries: tuple) -> tuple[Gate, ...]:
+        """The gates a run with product ``entries`` on ``qubit`` becomes."""
+        self.fused += 1
+        a, b, c, d = entries
+        key = (qubit, _PACK(a.real, a.imag, b.real, b.imag,
+                            c.real, c.imag, d.real, d.imag))
+        gates = self.runs.get(key)
+        if gates is not None:
+            return gates
         matrix = (entries[:2], entries[2:])
         if _is_phase_identity(entries) and is_unitary(matrix):
-            return
-        theta, phi, lam = u_angles(matrix)
-        if emit == "u":
-            out.append(G.u(theta, phi, lam, qubit))
+            gates = ()
         else:
-            if abs(lam) > _ANGLE_EPS:
-                out.append(G.rz(lam, qubit))
-            if abs(theta) > _ANGLE_EPS:
-                out.append(G.ry(theta, qubit))
-            if abs(phi) > _ANGLE_EPS:
-                out.append(G.rz(phi, qubit))
-
-    every = tuple(range(circuit.num_qubits))
-    for gate in circuit.gates:
-        entries = gate.spec.entries
-        if entries is not None and gate.condition is None:
-            q = gate.qubits[0]
-            pending[q] = product_2x2(
-                entries(gate.params), pending.get(q, _IDENTITY)
-            )
-            continue
-        touched = gate.qubits or every
-        if gate.condition is not None and gate.condition[0] not in touched:
-            touched = touched + (gate.condition[0],)
-        for q in touched:
-            flush(q)
-        out.append(gate)
-    for q in sorted(pending):
-        flush(q)
-    return _rebuilt(circuit, out)
+            self.synthesised += 1
+            theta, phi, lam = u_angles(matrix)
+            if self.emit == "u":
+                gates = (G.u(theta, phi, lam, qubit),)
+            else:
+                gates = tuple(
+                    rot(angle, qubit)
+                    for rot, angle in ((G.rz, lam), (G.ry, theta), (G.rz, phi))
+                    if abs(angle) > _ANGLE_EPS
+                )
+        self.runs[key] = gates
+        return gates
 
 
 def _is_phase_identity(entries: tuple[complex, ...]) -> bool:
@@ -304,11 +319,15 @@ def _is_phase_identity(entries: tuple[complex, ...]) -> bool:
 
 def remove_identities(circuit: Circuit) -> Circuit:
     """Drop explicit identity gates and zero-angle rotations."""
-    return _rebuilt(circuit, [
-        gate for gate in circuit.gates
+    return _rebuilt(circuit, _without_identities(circuit.gates))
+
+
+def _without_identities(gates: list[Gate]) -> list[Gate]:
+    return [
+        gate for gate in gates
         if gate.name != "i"
         and not (gate.name in _ROTATIONS and _is_identity_angle(gate.params[0]))
-    ])
+    ]
 
 
 def optimize_circuit(
@@ -330,16 +349,25 @@ def optimize_circuit(
 
     Returns:
         An equivalent circuit (up to global phase) with fewer or equal
-        gates.
+        gates.  When traced, reports the counters ``optimize.rounds``,
+        ``optimize.runs_fused`` and ``optimize.runs_synthesised``.
     """
-    current = remove_identities(circuit)
+    # Identities go once: merging drops every unconditioned rotation by
+    # an identity angle, and no pass makes an ``i`` gate or a
+    # conditioned rotation.
+    num_qubits = circuit.num_qubits
+    gates = _without_identities(circuit.gates)
+    fusion = _Fusion(emit)
+    rounds = 0
     for _ in range(max_passes):
-        before = len(current.gates)
-        current = cancel_inverse_pairs(current)
-        current = merge_rotations(current)
-        current = remove_identities(current)
+        rounds += 1
+        before = len(gates)
+        gates = _merge(_cancel(gates, num_qubits), num_qubits)
         if fuse:
-            current = fuse_single_qubit_runs(current, emit=emit)
-        if len(current.gates) >= before:
+            gates = fusion(gates, num_qubits)
+        if len(gates) >= before:
             break
-    return current
+    add_counter("optimize.rounds", rounds)
+    add_counter("optimize.runs_fused", fusion.fused)
+    add_counter("optimize.runs_synthesised", fusion.synthesised)
+    return _rebuilt(circuit, gates)

@@ -19,10 +19,11 @@ Custom ``gate`` definitions and ``opaque`` are outside the subset and
 raise :class:`QasmError` with a position, as does every other malformed
 statement, including a gate given the wrong number of operands or the
 same operand twice, a condition on a bit ``c<N>`` that names no qubit
-(checked once every register is declared), and a parameter expression
-that divides by zero, nests more than :data:`MAX_EXPRESSION_DEPTH`
-parentheses and signs deep, or reaches a value that is not finite
-(``1e400``, ``inf``, ``nan``).
+(checked once every register is declared), a measurement into a
+per-qubit register ``c<N>`` other than the measured qubit's own bit
+``c<q>[0]``, and a parameter expression that divides by zero, nests
+more than :data:`MAX_EXPRESSION_DEPTH` parentheses and signs deep, or
+reaches a value that is not finite (``1e400``, ``inf``, ``nan``).
 
 Cost model.  The compile service stores every artefact and stage entry
 as OpenQASM text, so each cache hit pays for a parse.  A call scans the
@@ -121,7 +122,7 @@ _IF_RE = re.compile(
 )
 _CONDITION_BIT_RE = re.compile(r"c(\d+)")
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]")
-_MEASURE_RE = re.compile(r"measure\s+(.+?)\s*(?:->\s*.+)?", re.S)
+_MEASURE_RE = re.compile(r"measure\s+(.+?)\s*(?:->\s*(.+))?", re.S)
 _APPLY_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*?)\))?\s*(.+)", re.S)
 _OPERAND_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?")
 
@@ -272,9 +273,10 @@ def parse_qasm(source: str) -> Circuit:
     Raises:
         QasmError: on syntax errors, unsupported constructs, gates
             whose operands do not fit them, conditions on a bit that
-            names no qubit, and parameter expressions
-            that divide by zero, nest too deep or are not finite; always
-            with the offending statement's line and column.
+            names no qubit, measurements into another qubit's bit, and
+            parameter expressions that divide by zero, nest too deep or
+            are not finite; always with the offending statement's line
+            and column.
     """
     registers: dict[str, _Register] = {}
     gates: list[Gate] = []
@@ -374,10 +376,10 @@ def _statement_gates(
         if match is None:
             raise QasmError("malformed measure", line)
         groups = _parse_operands(match.group(1), registers, line)
-        return _gates(
-            "measure", [(q,) for group in groups for q in group], (), None,
-            line,
-        )
+        qubits = [q for group in groups for q in group]
+        if match.group(2) is not None:
+            _check_measure_target(match.group(2), qubits, line)
+        return _gates("measure", [(q,) for q in qubits], (), None, line)
     if head == "reset":
         operands = body[len("reset"):].strip()
         groups = _parse_operands(operands, registers, line)
@@ -419,6 +421,24 @@ def _statement_gates(
         _DIRECT[key], _broadcast(operand_groups, line), params, condition,
         line,
     )
+
+
+def _check_measure_target(target: str, qubits: list[int], line: int) -> None:
+    """Reject a measurement into a per-qubit register other than each
+    measured qubit's own bit: a condition on ``c<N>`` reads qubit N's
+    result, so ``c<N>[0]`` must hold qubit N's.  Targets in other
+    registers are free, as no condition can read them."""
+    operand = _OPERAND_RE.fullmatch(target)
+    bit = _CONDITION_BIT_RE.fullmatch(operand.group(1)) if operand else None
+    if bit is None:
+        return
+    owner, index = int(bit.group(1)), operand.group(2)
+    for q in qubits:
+        if q != owner or (index is not None and int(index) != 0):
+            raise QasmError(
+                f"measure target {target!r} is not qubit {q}'s bit c{q}[0]",
+                line,
+            )
 
 
 def _gates(

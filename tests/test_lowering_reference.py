@@ -1,11 +1,12 @@
 """The lowering passes against copies of the implementations they replaced.
 
-:func:`cancel_inverse_pairs` and :func:`merge_rotations` answer "which
-is the next gate on these wires?" from per-wire successor links instead
-of a forward rescan, :func:`decompose_circuit` lowers each distinct gate
-once instead of re-running :func:`decompose_gate` over the whole circuit
-until nothing changes, and single-qubit fusion and the Euler synthesis
-multiply Python complex numbers instead of numpy matrices.  The
+:func:`cancel_inverse_pairs` and :func:`merge_rotations` pair each gate
+with the gate that is last on all its wires, in one forward sweep,
+instead of rescanning forward for the next gate on these wires;
+:func:`decompose_circuit` lowers each distinct gate once instead of
+re-running :func:`decompose_gate` over the whole circuit until nothing
+changes; and single-qubit fusion and the Euler synthesis multiply
+Python complex numbers instead of numpy matrices.  The
 reference functions below are the earlier implementations, numpy
 included.  On random unconditioned circuits:
 

@@ -267,6 +267,25 @@ class TestPipelineIntegration:
         assert counters[f"{result.router}.swap_decisions"] == result.added_swaps > 0
         assert counters[f"{result.router}.swap_candidates_scored"] >= result.added_swaps
 
+    def test_optimizer_counters(self):
+        # QX5's native set has ``u``, so the second optimize call fuses.
+        tracer, _ = self._traced_compile(optimize=True)
+        counters = tracer.counters()
+        assert counters["optimize.rounds"] > 0
+        assert 0 < counters["optimize.runs_synthesised"] <= counters[
+            "optimize.runs_fused"
+        ]
+
+    def test_optimizer_run_counters_stay_zero_without_fusion(self):
+        circuit = random_circuit(12, 60, seed=7, two_qubit_fraction=0.6)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            compile_circuit(circuit, get_device("surface17"), optimize=True)
+        counters = tracer.counters()
+        assert counters["optimize.rounds"] > 0
+        assert counters.get("optimize.runs_fused", 0) == 0
+        assert counters.get("optimize.runs_synthesised", 0) == 0
+
     def test_untraced_compile_records_nothing(self):
         circuit = random_circuit(5, 15, seed=3, two_qubit_fraction=0.6)
         compile_circuit(circuit, get_device("ibm_qx4"))

@@ -324,6 +324,49 @@ class TestWriters:
         assert circuit.num_qubits == 4
         assert circuit.gates[0].condition == (3, 1)
 
+    # Regression: the target was ignored, so this measured q[1], the
+    # condition read c0 (qubit 0's bit, which nothing measures), and
+    # the writer put the measurement back as ``measure q[1] -> c1[0]``.
+    _OTHER_QUBITS_BIT = (
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c0[1];\ncreg c1[1];\nx q[1];\n"
+        "measure q[1] -> c0[0];\nif(c0==1) x q[0];\n"
+    )
+
+    def test_measure_into_another_qubits_bit_is_positioned(self):
+        with pytest.raises(QasmError) as excinfo:
+            parse_qasm(self._OTHER_QUBITS_BIT)
+        err = excinfo.value
+        assert (err.line, err.column) == (6, 1)
+        assert err.message == (
+            "measure target 'c0[0]' is not qubit 1's bit c1[0]"
+        )
+
+    @pytest.mark.parametrize("source, message", [
+        ("qreg q[2]; creg c1[2]; measure q[1] -> c1[1];",
+         "measure target 'c1[1]' is not qubit 1's bit c1[0]"),
+        ("qreg q[1]; qreg r[2]; creg c0[1]; measure r -> c0[0];",
+         "measure target 'c0[0]' is not qubit 1's bit c1[0]"),
+        ("qreg q[3]; creg c0[1]; measure q -> c0;",
+         "measure target 'c0' is not qubit 1's bit c1[0]"),
+    ], ids=["bit-other-than-0", "broadcast", "whole-register-broadcast"])
+    def test_measure_into_a_per_qubit_register_must_be_its_own_bit(
+        self, source, message
+    ):
+        with pytest.raises(QasmError) as excinfo:
+            parse_qasm(source)
+        assert excinfo.value.message == message
+
+    @pytest.mark.parametrize("source", [
+        "qreg q[2]; creg c1[1]; measure q[1] -> c1[0];",
+        "qreg q[2]; creg c1[1]; measure q[1] -> c1;",
+        "qreg q[2]; creg c[2]; measure q[1] -> c[1];",
+        "qreg q[3]; creg c[3]; measure q -> c;",
+        "qreg q[2]; creg flags[4]; measure q[0] -> flags[3];",
+    ])
+    def test_measure_into_its_own_bit_or_another_register_parses(self, source):
+        circuit = parse_qasm(source)
+        assert circuit.gates and all(g.name == "measure" for g in circuit.gates)
+
     def test_cqasm_header(self, ghz3):
         text = to_cqasm(ghz3)
         assert text.startswith("version 1.0\nqubits 3")

@@ -9,7 +9,7 @@ On every input below both must return the same circuit, compared by
 that turns into ``0.0`` counts as a difference), or raise the same
 exception type with the same message.
 
-Four deliberate differences:
+Five deliberate differences:
 
 * a gate given operands it rejects (wrong arity, a repeated qubit) made
   the earlier parser leak ``Gate``'s bare ``ValueError``; it is now a
@@ -28,7 +28,15 @@ Four deliberate differences:
   :meth:`Circuit.append <repro.core.circuit.Circuit.append>` now
   rejects, so the earlier parser raises that ``ValueError``; the parser
   reports it as a positioned :class:`QasmError` once every register is
-  read.
+  read;
+* a measurement into a per-qubit register ``c<N>`` other than the
+  measured qubit's own bit ``c<q>[0]`` (``measure r -> c0[0];`` over a
+  second register, or a mutated digit) parsed to a plain measurement of
+  qubit q, which the writer puts back into ``c<q>[0]``, so a condition
+  on ``c<N>`` read another qubit's result; it is now a
+  :class:`QasmError` at the measure statement, which names the target
+  and the qubit, whatever the earlier parser did with the rest of the
+  source.
 
 Inputs: writer output of random circuits, the same statements
 hand-formatted, sources that declare a second register between gates,
@@ -38,6 +46,7 @@ parenthesised parameters.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 
@@ -220,9 +229,44 @@ _CONDITION_BIT = re.compile(
 )
 
 
+#: The parser's message for a measurement into another qubit's bit.
+_MEASURE_TARGET = re.compile(
+    r"line (\d+), col (\d+): measure target (.+) is not qubit (\d+)'s bit "
+    r"c(\d+)\[0\]",
+    re.S,
+)
+#: A per-qubit register operand, ``c<N>`` or ``c<N>[i]``.
+_BIT_OPERAND = re.compile(r"c(\d+)\s*(?:\[\s*(\d+)\s*\])?")
+
+
+def _assert_bad_measure_target(
+    source: str, expected: tuple, error: re.Match
+) -> None:
+    """The rejected statement is a measure of qubit q into a per-qubit
+    register operand other than ``c<q>[0]``."""
+    line, column, qubit = int(error[1]), int(error[2]), int(error[4])
+    assert int(error[5]) == qubit
+    statement = source.splitlines()[line - 1][column - 1:]
+    assert statement.startswith("measure"), statement
+    bit = _BIT_OPERAND.fullmatch(ast.literal_eval(error[3]))
+    assert bit is not None, error[3]
+    assert (int(bit[1]), int(bit[2] or 0)) != (qubit, 0), error[3]
+    if expected[0] == "parsed":
+        assert any(
+            gate.startswith(f"Gate(name='measure', qubits=({qubit},)")
+            for gate in expected[3]
+        ), expected[3]
+
+
 def assert_parses_as_before(source: str) -> None:
     expected = _outcome(qasm_reference.parse_qasm, source)
     actual = _outcome(parse_qasm, source)
+    measure = actual[0] == "raised" and _MEASURE_TARGET.fullmatch(actual[2])
+    if measure:
+        # A measurement into another qubit's bit, now rejected.
+        assert actual[1] is QasmError, actual
+        _assert_bad_measure_target(source, expected, measure)
+        return
     condition_bit = expected[0] == "raised" and _CONDITION_BIT.fullmatch(expected[2])
     if condition_bit:
         # A condition bit that names no qubit, now checked by the parser.
@@ -284,6 +328,7 @@ def test_hand_formatted_sources_parse_as_before(source):
 @settings(**_SETTINGS)
 @example("qreg q[2];\nh q;\nqreg r[2];\nh q;\ncx q,r;\nh r;\n")
 @example("qreg q[2];\nh q[0];\nqreg q[2];\nh q[0];\n")
+@example("qreg q[1];\nqreg r[2];\nmeasure r -> c0[0];\nmeasure r[1] -> c2[0];\n")
 def test_second_register_sources_parse_as_before(source):
     assert_parses_as_before(source)
 
@@ -301,6 +346,8 @@ def test_second_register_sources_parse_as_before(source):
 @example("OPENQASM 2.0;\nqreg q[1];\nrx(1)) q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[1];\nrx((1));\n")
 @example("OPENQASM 2.0;\nqreg q[2];\ncreg c5[1];\nif(c5==1) x q[0];\n")
+@example("OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c0[0];\n")
+@example("OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c1[1];\n")
 def test_mutated_sources_parse_as_before(source):
     assert_parses_as_before(source)
 

@@ -116,6 +116,21 @@ class TestSubmit:
             "qubit; the program declares 2"
         )
 
+    def test_measure_into_another_qubits_bit_is_an_invalid_job(self):
+        # Regression: the target was ignored and the job compiled "ok",
+        # with its X no longer depending on the qubit that was measured.
+        qasm = (
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c0[1];\ncreg c1[1];\n"
+            "x q[1];\nmeasure q[1] -> c0[0];\nif(c0==1) x q[0];\n"
+        )
+        job = CompileJob.create(qasm, get_device("ibm_qx5"))
+        res = CompileService(CompileCache()).submit(job)
+        assert res.status == "invalid" and res.artifact is None
+        assert res.error == (
+            "QasmError: line 6, col 1: measure target 'c0[0]' is not "
+            "qubit 1's bit c1[0]"
+        )
+
     def test_memory_hit_artifact_is_the_callers_own(self):
         # Regression: a memory hit handed out the cache's own dict, so a
         # caller's edit reached every later hit (JobResult.metrics and
