@@ -6,9 +6,10 @@ Three guarantees on every test run:
    (swap counts + circuit fingerprints) to the frozen seed outputs of
    ``tests/seed_baseline.py`` on all 46 cases: the 40 of
    :data:`repro.perf.CORPUS` and the six 80-119-qubit cases.
-2. **Kernel path**: with the native A* kernel available, every A* layer
+2. **Kernel path**: with the native kernels available, every A* layer
    of those 46 cases is solved natively, in batch calls, with no
-   Python fallback layer; without it, every layer runs in Python.
+   Python fallback layer, and every sabre, latency and reliability case
+   runs in the family kernel; without them, all of it runs in Python.
 3. **Budgets**: wall-clock stays within generous limits, so a future
    change that quietly re-introduces a full-rescore hot path fails CI
    instead of landing.  The headline case — A* on the 120-gate / 12
@@ -63,7 +64,9 @@ def routed():
     factories = {**DEVICES, **LARGE_DEVICES}
     before = _astar_native.kernel_stats()
     cases = {}
+    family = 0
     for key, dev, instance, router, options in CORPUS + LARGE_CORPUS:
+        family += router in ("sabre", "latency", "reliability")
         circuit = corpus_circuit(*instance)
         device = factories[dev]()
         start = time.perf_counter()
@@ -73,8 +76,10 @@ def routed():
     after = _astar_native.kernel_stats()
     kernel = {
         name: after[name] - before[name]
-        for name in ("native_layers", "python_layers", "batch_calls")
+        for name in ("native_layers", "python_layers", "batch_calls",
+                     "family_native_calls", "family_python_calls")
     }
+    kernel["family_cases"] = family
     return cases, kernel
 
 
@@ -95,15 +100,21 @@ def test_kernel_path_matches_availability(routed):
     _, kernel = routed
     if os.environ.get("REPRO_NO_NATIVE"):
         assert not _native_kernel_available(), "native kernel not disabled"
+    assert kernel["family_cases"] > 0, kernel
     if _native_kernel_available():
         assert kernel["python_layers"] == 0, (
             f"native kernel fell back to Python: {kernel}"
         )
         assert kernel["native_layers"] > 0, kernel
         assert kernel["batch_calls"] > 0, kernel
+        # Every sabre, latency and reliability case runs in the kernel.
+        assert kernel["family_native_calls"] == kernel["family_cases"], kernel
+        assert kernel["family_python_calls"] == 0, kernel
     else:
         assert kernel["native_layers"] == 0, kernel
         assert kernel["python_layers"] > 0, kernel
+        assert kernel["family_native_calls"] == 0, kernel
+        assert kernel["family_python_calls"] == kernel["family_cases"], kernel
 
 
 def test_hot_case_within_budget(routed):

@@ -44,20 +44,24 @@ def test_quality_runtime_report(record_report):
         rows["sabre"][0], rows["astar"][0], rows["exact"][0]
     )
 
+    # The report keeps the SWAP counts, which are the same on every host;
+    # the compile times and their ratio go to stdout only.
     lines = [
         "quality vs compile-time trade-off (Sec. VII open question 3):",
         "6 random 5-qubit circuits on a 5-qubit line",
         "",
-        f"{'router':<8} {'total swaps':>12} {'compile time':>14}",
+        f"{'router':<8} {'total swaps':>12}",
     ]
     for router in ROUTERS:
         swaps, elapsed = rows[router]
-        lines.append(f"{router:<8} {swaps:>12} {elapsed:>13.3f}s")
+        lines.append(f"{router:<8} {swaps:>12}")
+        print(f"{router:<8} compile time {elapsed:.3f}s")
     ratio = rows["exact"][1] / max(rows["sabre"][1], 1e-9)
+    print(f"the exact mapper pays ~{ratio:.0f}x the heuristic's runtime")
     lines += [
         "",
-        f"the exact mapper pays ~{ratio:.0f}x the heuristic's runtime for "
-        f"{rows['sabre'][0] - rows['exact'][0]} fewer SWAPs on this set",
+        f"the exact mapper finds {rows['sabre'][0] - rows['exact'][0]} fewer "
+        "SWAPs than sabre on this set; its runtime is printed, not recorded",
     ]
     record_report("quality_runtime", "\n".join(lines))
 

@@ -20,8 +20,10 @@ SIZES = [10, 30, 60, 120]
 
 
 def test_scaling_report(record_report):
+    # The report keeps the SWAP counts, which are the same on every host;
+    # the timings go to stdout only.
     lines = ["router scaling on ibm_qx5 (16 qubits), random circuits:", ""]
-    lines.append(f"{'gates':>6} {'router':>8} {'swaps':>6} {'seconds':>9}")
+    lines.append(f"{'gates':>6} {'router':>8} {'swaps':>6}")
     device = ibm_qx5()
     timings = {}
     for size in SIZES:
@@ -31,9 +33,8 @@ def test_scaling_report(record_report):
             result = route(circuit, device, router, None)
             elapsed = time.perf_counter() - start
             timings[(size, router)] = elapsed
-            lines.append(
-                f"{size:>6} {router:>8} {result.added_swaps:>6} {elapsed:>9.4f}"
-            )
+            lines.append(f"{size:>6} {router:>8} {result.added_swaps:>6}")
+            print(f"{size:>6} {router:>8} {elapsed:>9.4f}s")
     # Heuristics stay fast even on the largest instance.
     assert timings[(SIZES[-1], "sabre")] < 5.0
 
@@ -41,11 +42,10 @@ def test_scaling_report(record_report):
     small = random_circuit(5, 8, seed=1, two_qubit_fraction=0.8)
     start = time.perf_counter()
     exact_small = route_exact(small, linear_device(5))
-    exact_time = time.perf_counter() - start
+    print(f"exact on linear5, 8 gates: {time.perf_counter() - start:.3f}s")
     lines += [
         "",
-        f"exact on linear5, 8 gates: {exact_small.added_swaps} swaps, "
-        f"{exact_time:.3f}s",
+        f"exact on linear5, 8 gates: {exact_small.added_swaps} swaps",
     ]
     with pytest.raises(RoutingError):
         route_exact(random_circuit(12, 30, seed=2), device)

@@ -264,6 +264,16 @@ class Device:
             incident[b].append((a, b))
         return tuple(tuple(edges) for edges in incident)
 
+    @cached_property
+    def routing_tables(self) -> dict:
+        """Tables the routers build for this device on first use and keep
+        for its lifetime (:mod:`repro.mapping.routing`): edge arrays, the
+        hop matrix in the native kernels' forms, reliability's weighted
+        matrices.  They are ``array.array`` objects and plain values, so
+        the device still pickles.
+        """
+        return {}
+
     def undirected_edges(self) -> list[tuple[int, int]]:
         """Each physical connection once, as a sorted pair."""
         return list(self.undirected_edge_list)

@@ -1,37 +1,46 @@
-/* Native A* routing kernel: every layer of a circuit in one call.
+/* Native routing kernels: A* layer search and the SABRE-family loop.
  *
- * Mirror of the pure-Python layer search in `_astar_impl.py`, compiled
- * on demand by `_astar_native.py` (plain `cc -O2 -shared`; no build
- * system, no third-party dependency).  The implementation must stay
- * semantically identical to its Python reference: same search state
- * identity, same candidate enumeration order (ascending edge id over
- * the sorted undirected edge list), same `(priority, counter)`
- * tie-breaking, and the same IEEE double arithmetic — every float
- * expression here matches the Python expression operation for
- * operation, so priorities are bit-identical and the search pops nodes
- * in exactly the same order.  The Python side verifies availability and
- * falls back transparently, so this file is an accelerator, never a
+ * Mirrors of the pure-Python routers, compiled on demand by
+ * `_astar_native.py` (`cc -O2 -ffp-contract=off -shared`; no build
+ * system, no third-party dependency).  Each entry point must stay
+ * semantically identical to its Python reference: the same state, the
+ * same candidate enumeration order (ascending edge id over the sorted
+ * undirected edge list), the same tie-breaking, and the same IEEE double
+ * arithmetic -- every float expression here matches the Python
+ * expression operation for operation, so scores and priorities are
+ * bit-identical.  `-ffp-contract=off` keeps the compiler from fusing
+ * `a * b + c` into one FMA (GCC does by default on aarch64), which would
+ * round differently from Python.  The Python side checks availability
+ * and falls back transparently, so this file is an accelerator, never a
  * behaviour change.
  *
- * State representation: a search state packs the physical position of
- * each *active* program-qubit slot into a multi-word bitset.  `nbits`
- * bits per slot, `spw = 64 / nbits` slots per 64-bit word (slots never
- * straddle a word boundary), `nwords = ceil(m / spw)` words per key.
- * Devices are not limited to 64 qubits, 64 edges, or `m * nbits <= 64`
- * packed keys.
+ * Both entry points take a relative time budget in seconds (`INFINITY`
+ * for none), turn it into a stop time on their own monotonic clock at
+ * entry, and return -4 once it has passed.
  *
- * One entry point, `solve_layers_batch`: the per-layer preprocessing
- * and the placement evolution between layers run natively, so a whole
- * circuit costs one ctypes crossing.  It takes a relative time budget
- * in seconds (`INFINITY` for none), turns it into a stop time on its
- * own monotonic clock at entry, and checks that stop time before each
- * layer and every 256th node expansion — the polling rate of the
- * Python loop.
+ * `solve_layers_batch` mirrors `_astar_impl.py`: every layer of one A*
+ * call in a single crossing, with the per-layer preprocessing and the
+ * placement evolution between layers run natively.  A search state
+ * packs the physical position of each *active* program-qubit slot into
+ * a multi-word bitset: `nbits` bits per slot, `spw = 64 / nbits` slots
+ * per 64-bit word (slots never straddle a word boundary), `nwords =
+ * ceil(m / spw)` words per key, so devices are not limited to 64 qubits
+ * or edges.  It checks the stop time before each layer and every 256th
+ * node expansion -- the polling rate of the Python loop.  Return codes:
+ * >= 0 total swap-sequence length across layers, -1 search exhausted,
+ * -2 expansion budget exceeded, -3 capacity or allocation failure (the
+ * caller falls back to the Python kernel), -4 time budget exhausted.
  *
- * Return codes: >= 0 total swap-sequence length across layers, -1
- * search exhausted, -2 expansion budget exceeded, -3 capacity or
- * allocation failure (the caller falls back to the Python kernel), -4
- * time budget exhausted.
+ * `route_family_batch` mirrors `family.route_family` with the sabre,
+ * latency and reliability policies: the whole front-layer loop of one
+ * circuit in a single crossing, returning the emission order (gate
+ * indices and ordered SWAPs).  It checks the stop time once per
+ * decision, as the Python loop does.  Return codes: >= 0 the number of
+ * events, -3 allocation failure or a latency value outside the exactly
+ * representable range (the caller runs the Python loop), -4 time budget
+ * exhausted, -5 the stall valve fired or no candidate SWAP exists (the
+ * caller reruns the Python loop, which force-routes or raises), -6 the
+ * event buffer is full (the caller grows it and calls again).
  */
 
 #include <stdint.h>
@@ -667,4 +676,407 @@ cleanup:
     free(markq); free(pair_sa); free(fut_sa); free(future_active);
     free(tf_idx); free(tf_start); free(tf_cur); free(slot_pos); free(key0);
     return total;
+}
+
+/* ---- the SABRE-family loop: one circuit in a single crossing ---- */
+
+enum { POLICY_SABRE = 0, POLICY_LATENCY = 1, POLICY_RELIABILITY = 2 };
+
+static int cmp_i32(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_i32(int32_t *a, int32_t len) {
+    if (len > 1)
+        qsort(a, (size_t)len, sizeof(int32_t), cmp_i32);
+}
+
+/* The terms of one decision (`_Terms`): entry i is the pair of blocked
+ * gate i (i < front_n) or of look-ahead gate i - front_n, on physical
+ * qubits (qa[i], qb[i]), at distance terms[i]. */
+typedef struct {
+    int32_t n;
+    const double *dist;
+    int32_t count;
+    int32_t front_n;
+    const int32_t *qa;
+    const int32_t *qb;
+    const double *terms;
+} Terms;
+
+/* `_Terms.deltas`: the change of the (front, look-ahead) sums under the
+ * SWAP of (pa, pb), over pa's entries in entry order, then pb's not
+ * already counted.  `swapped`, when given, receives the changed terms. */
+static void terms_deltas(const Terms *t, int32_t pa, int32_t pb,
+                         double *d_front, double *d_ext, double *swapped) {
+    double df = 0.0, de = 0.0;
+    for (int side = 0; side < 2; side++) {
+        int32_t here = side ? pb : pa;
+        int32_t there = side ? pa : pb;
+        for (int32_t i = 0; i < t->count; i++) {
+            int32_t other;
+            int first;
+            if (t->qa[i] == here) {
+                other = t->qb[i];
+                first = 1;
+            } else if (t->qb[i] == here) {
+                other = t->qa[i];
+                first = 0;
+            } else {
+                continue;
+            }
+            if (other == there) {
+                if (side)
+                    continue;
+                other = pa;
+            }
+            double nw = first ? t->dist[(int64_t)there * t->n + other]
+                              : t->dist[(int64_t)other * t->n + there];
+            if (swapped)
+                swapped[i] = nw;
+            if (i < t->front_n)
+                df += nw - t->terms[i];
+            else
+                de += nw - t->terms[i];
+        }
+    }
+    *d_front = df;
+    *d_ext = de;
+}
+
+/* ---- entry point: the family loop of one circuit in a single crossing ----
+ *
+ * Gate g needs the coupled program pair (pair_a[g], pair_b[g]), or none
+ * when pair_a[g] is -1; its successors are succ_idx[succ_start[g] ..
+ * succ_start[g + 1]) and pred_count[g] is its number of predecessors
+ * (the `DependencyGraph` the Python loop builds).  `p2h` is the full
+ * program->physical permutation (n entries) and is updated in place.
+ * `policy` selects the score: sabre (`use_decay`), latency (`avail`, the
+ * per-qubit ASAP schedule, read and written; each gate's program
+ * operands `op_a` / `op_b`, -1 for none, and duration `dur`; the SWAP
+ * duration `swap_dur`) or reliability (`swap_err` per edge).  `events`
+ * receives the emission order: a gate index, or `-1 - (pa * n + pb)`
+ * for the SWAP of physical (pa, pb).  `counts` receives the candidates
+ * scored and the decisions made.
+ */
+
+int64_t route_family_batch(
+    int32_t n,
+    const int32_t *edge_pa, const int32_t *edge_pb, int32_t n_edges,
+    const double *dist,
+    int32_t n_gates,
+    const int32_t *pair_a, const int32_t *pair_b,
+    const int32_t *succ_start, const int32_t *succ_idx,
+    const int32_t *pred_count,
+    const int32_t *op_a, const int32_t *op_b, const int64_t *dur,
+    int32_t *p2h,
+    int32_t policy, int32_t lookahead, double weight, int64_t max_stall,
+    int32_t use_decay, double latency_weight, int64_t swap_dur,
+    const double *swap_err, int64_t *avail,
+    double budget_s,
+    int32_t *events, int64_t max_events, int64_t *counts)
+{
+    const double stop_s = now_s() + budget_s;
+    /* Beyond 2^52 a latency key would no longer be exact in a double. */
+    const int64_t avail_limit = (int64_t)1 << 52;
+    int32_t ewords = (n_edges + 63) / 64;
+    if (ewords < 1)
+        ewords = 1;
+    int32_t gcap = n_gates > 0 ? n_gates : 1;
+
+    int32_t *h2p = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+    uint8_t *adj = (uint8_t *)calloc((size_t)n * n, 1);
+    uint64_t *qmask = (uint64_t *)malloc((size_t)n * ewords * sizeof(uint64_t));
+    uint64_t *emask = (uint64_t *)malloc((size_t)ewords * sizeof(uint64_t));
+    int32_t *cand = (int32_t *)malloc((size_t)(n_edges > 0 ? n_edges : 1)
+                                      * sizeof(int32_t));
+    double *decay = (double *)malloc((size_t)n * sizeof(double));
+    /* Per-gate scratch: eleven int32 arrays (a look-ahead set holds at
+     * most n_gates entries), and the terms and swapped terms. */
+    int32_t *gbuf = (int32_t *)malloc((size_t)gcap * 11 * sizeof(int32_t));
+    double *tbuf = (double *)malloc((size_t)gcap * 2 * sizeof(double));
+    int64_t rc = -3;
+    if (!h2p || !adj || !qmask || !emask || !cand || !decay || !gbuf || !tbuf)
+        goto cleanup;
+    {
+        int32_t *waiting = gbuf;
+        int32_t *front_pos = gbuf + (size_t)gcap;
+        int32_t *front = gbuf + (size_t)gcap * 2;
+        int32_t *pending = gbuf + (size_t)gcap * 3;
+        int32_t *ready = gbuf + (size_t)gcap * 4;
+        int32_t *blocked = gbuf + (size_t)gcap * 5;
+        int32_t *seen = gbuf + (size_t)gcap * 6;
+        int32_t *queue = gbuf + (size_t)gcap * 7;
+        int32_t *look = gbuf + (size_t)gcap * 8;   /* gate of each entry */
+        int32_t *qa = gbuf + (size_t)gcap * 9;     /* its physical pair */
+        int32_t *qb = gbuf + (size_t)gcap * 10;
+        double *terms = tbuf;
+        double *swapped = tbuf + (size_t)gcap;
+
+        for (int32_t q = 0; q < n; q++) {
+            h2p[p2h[q]] = q;
+            decay[q] = 1.0;
+        }
+        build_qmask(qmask, n, ewords, edge_pa, edge_pb, n_edges);
+        for (int32_t e = 0; e < n_edges; e++) {
+            adj[(int64_t)edge_pa[e] * n + edge_pb[e]] = 1;
+            adj[(int64_t)edge_pb[e] * n + edge_pa[e]] = 1;
+        }
+
+        /* The front layer: gates whose predecessor count is 0. */
+        int32_t n_front = 0, n_pending = 0;
+        for (int32_t g = 0; g < n_gates; g++) {
+            waiting[g] = pred_count[g];
+            seen[g] = 0;
+            front_pos[g] = -1;
+            if (!waiting[g]) {
+                front_pos[g] = n_front;
+                front[n_front++] = g;
+                pending[n_pending++] = g;
+            }
+        }
+
+        Terms t;
+        t.n = n;
+        t.dist = dist;
+        t.count = 0;
+        t.front_n = 0;
+        t.qa = qa;
+        t.qb = qb;
+        t.terms = terms;
+        int look_valid = 0;
+        int32_t stamp = 0;
+        int64_t n_events = 0, stall = 0, decisions = 0, scored = 0;
+
+        while (n_front > 0) {
+            /* Deadline poll: one clock read per decision. */
+            if (now_s() >= stop_s) {
+                rc = -4;
+                goto cleanup;
+            }
+            /* Emission passes: each checks, in ascending order, only the
+             * gates the previous pass made ready (after a SWAP, the whole
+             * blocked front). */
+            while (n_pending > 0) {
+                int32_t n_ready = 0;
+                for (int32_t k = 0; k < n_pending; k++) {
+                    int32_t g = pending[k];
+                    if (pair_a[g] >= 0
+                        && !adj[(int64_t)p2h[pair_a[g]] * n + p2h[pair_b[g]]])
+                        continue;
+                    if (n_events >= max_events) {
+                        rc = -6;
+                        goto cleanup;
+                    }
+                    events[n_events++] = g;
+                    if (policy == POLICY_LATENCY && op_a[g] >= 0) {
+                        /* `_LatencyPolicy.emitted`: an ASAP step. */
+                        int32_t x = p2h[op_a[g]];
+                        int64_t start = avail[x];
+                        int32_t y = op_b[g] >= 0 ? p2h[op_b[g]] : -1;
+                        if (y >= 0 && avail[y] > start)
+                            start = avail[y];
+                        int64_t finish = start + dur[g];
+                        if (finish > avail_limit || finish < -avail_limit) {
+                            rc = -3;
+                            goto cleanup;
+                        }
+                        avail[x] = finish;
+                        if (y >= 0)
+                            avail[y] = finish;
+                    }
+                    /* Leave the front (swap-remove). */
+                    int32_t pos = front_pos[g];
+                    int32_t last = front[--n_front];
+                    front[pos] = last;
+                    front_pos[last] = pos;
+                    front_pos[g] = -1;
+                    for (int32_t s = succ_start[g]; s < succ_start[g + 1]; s++) {
+                        int32_t succ = succ_idx[s];
+                        if (!--waiting[succ]) {
+                            front_pos[succ] = n_front;
+                            front[n_front++] = succ;
+                            ready[n_ready++] = succ;
+                        }
+                    }
+                    stall = 0;
+                    look_valid = 0;
+                }
+                sort_i32(ready, n_ready);
+                int32_t *tmp = pending;
+                pending = ready;
+                ready = tmp;
+                n_pending = n_ready;
+            }
+            if (n_front == 0)
+                break;
+
+            if (!look_valid) {
+                /* The blocked front, sorted, then up to `lookahead`
+                 * two-qubit gates breadth first from it over successors;
+                 * rebuilt only after an emission. */
+                memcpy(blocked, front, (size_t)n_front * sizeof(int32_t));
+                sort_i32(blocked, n_front);
+                t.front_n = n_front;
+                memcpy(look, blocked, (size_t)n_front * sizeof(int32_t));
+                int32_t count = n_front;
+                if (lookahead > 0) {
+                    stamp++;
+                    for (int32_t i = 0; i < n_front; i++) {
+                        seen[blocked[i]] = stamp;
+                        queue[i] = blocked[i];
+                    }
+                    int32_t head = 0, tail = n_front, extended = 0;
+                    while (head < tail && extended < lookahead) {
+                        int32_t g = queue[head++];
+                        for (int32_t s = succ_start[g]; s < succ_start[g + 1]; s++) {
+                            int32_t succ = succ_idx[s];
+                            if (seen[succ] == stamp)
+                                continue;
+                            seen[succ] = stamp;
+                            queue[tail++] = succ;
+                            if (pair_a[succ] >= 0) {
+                                look[count++] = succ;
+                                if (++extended >= lookahead)
+                                    break;
+                            }
+                        }
+                    }
+                }
+                t.count = count;
+                look_valid = 1;
+            }
+            const int32_t front_n = t.front_n;
+            const int32_t ext_n = t.count - front_n;
+
+            /* The terms under the current placement, and their sums left
+             * to right from 0. */
+            double front_base = 0.0, ext_base = 0.0;
+            for (int32_t i = 0; i < t.count; i++) {
+                int32_t g = look[i];
+                qa[i] = p2h[pair_a[g]];
+                qb[i] = p2h[pair_b[g]];
+                terms[i] = dist[(int64_t)qa[i] * n + qb[i]];
+                if (i < front_n)
+                    front_base += terms[i];
+                else
+                    ext_base += terms[i];
+            }
+
+            /* Candidates: the edges incident to the blocked operands, in
+             * ascending edge id. */
+            memset(emask, 0, (size_t)ewords * sizeof(uint64_t));
+            for (int32_t i = 0; i < front_n; i++) {
+                const uint64_t *ma = qmask + (int64_t)qa[i] * ewords;
+                const uint64_t *mb = qmask + (int64_t)qb[i] * ewords;
+                for (int32_t w = 0; w < ewords; w++)
+                    emask[w] |= ma[w] | mb[w];
+            }
+            int32_t n_cand = 0;
+            for (int32_t w = 0; w < ewords; w++) {
+                uint64_t bits = emask[w];
+                while (bits) {
+                    cand[n_cand++] = (int32_t)(w * 64 + __builtin_ctzll(bits));
+                    bits &= bits - 1;
+                }
+            }
+            if (n_cand == 0) {
+                rc = -5;
+                goto cleanup;
+            }
+            scored += n_cand;
+
+            /* The policy's choice: the first strict minimum. */
+            int32_t best = -1, progress = -1;
+            double best_score = 0.0, progress_score = 0.0;
+            for (int32_t c = 0; c < n_cand; c++) {
+                int32_t pa = edge_pa[cand[c]], pb = edge_pb[cand[c]];
+                double d_front, d_ext, score;
+                if (policy == POLICY_RELIABILITY) {
+                    /* `_Terms.resum`, then the SWAP's own error. */
+                    memcpy(swapped, terms, (size_t)t.count * sizeof(double));
+                    terms_deltas(&t, pa, pb, &d_front, &d_ext, swapped);
+                    double sum = 0.0;
+                    for (int32_t i = 0; i < front_n; i++)
+                        sum += swapped[i];
+                    score = sum / (double)front_n;
+                    if (ext_n) {
+                        sum = 0.0;
+                        for (int32_t i = front_n; i < t.count; i++)
+                            sum += swapped[i];
+                        score += weight * sum / (double)ext_n;
+                    }
+                    score += swap_err[cand[c]];
+                    if (d_front < -1e-12 && (progress < 0 || score < progress_score)) {
+                        progress = c;
+                        progress_score = score;
+                    }
+                } else {
+                    /* `_Terms.score`. */
+                    terms_deltas(&t, pa, pb, &d_front, &d_ext, NULL);
+                    score = (front_base + d_front) / (double)front_n;
+                    if (ext_n)
+                        score += weight * (ext_base + d_ext) / (double)ext_n;
+                    if (policy == POLICY_SABRE) {
+                        if (use_decay)
+                            score *= decay[pa] > decay[pb] ? decay[pa] : decay[pb];
+                    } else {
+                        int64_t ready_at = avail[pa] > avail[pb] ? avail[pa] : avail[pb];
+                        score = score + latency_weight * (double)ready_at;
+                    }
+                }
+                if (best < 0 || score < best_score) {
+                    best = c;
+                    best_score = score;
+                }
+            }
+            if (progress >= 0)
+                best = progress;
+            int32_t pa = edge_pa[cand[best]], pb = edge_pb[cand[best]];
+            if (policy == POLICY_LATENCY) {
+                int64_t ready_at = avail[pa] > avail[pb] ? avail[pa] : avail[pb];
+                int64_t finish = ready_at + swap_dur;
+                if (finish > avail_limit || finish < -avail_limit) {
+                    rc = -3;
+                    goto cleanup;
+                }
+                avail[pa] = avail[pb] = finish;
+            }
+
+            /* Apply the SWAP. */
+            if (n_events >= max_events) {
+                rc = -6;
+                goto cleanup;
+            }
+            events[n_events++] = -1 - (pa * n + pb);
+            int32_t x = h2p[pa], y = h2p[pb];
+            h2p[pa] = y;
+            h2p[pb] = x;
+            p2h[x] = pb;
+            p2h[y] = pa;
+            if (++stall > max_stall) {
+                rc = -5;
+                goto cleanup;
+            }
+            decisions++;
+            if (policy == POLICY_SABRE && use_decay) {
+                if (decisions % 5 == 0)
+                    for (int32_t q = 0; q < n; q++)
+                        decay[q] = 1.0;
+                decay[pa] += 0.001;
+                decay[pb] += 0.001;
+            }
+            memcpy(pending, blocked, (size_t)front_n * sizeof(int32_t));
+            n_pending = front_n;
+        }
+        counts[0] = scored;
+        counts[1] = decisions;
+        rc = n_events;
+    }
+
+cleanup:
+    free(h2p); free(adj); free(qmask); free(emask); free(cand); free(decay);
+    free(gbuf); free(tbuf);
+    return rc;
 }

@@ -1,26 +1,39 @@
-"""On-demand compilation and invocation of the native A* routing kernel.
+"""On-demand compilation and invocation of the native routing kernels.
 
 Compiles ``_astar_kernel.c`` with the system C compiler the first time
 a router needs it, caching the shared object under the user's temp
-directory keyed by a hash of the source.  Everything is best-effort: no
-compiler, a failed build, or any marshalling surprise simply returns
-``None`` and the caller falls back to the pure-Python kernel, which is
-the reference implementation.  The native kernel replicates the Python
-code operation for operation (see the header comment of the C file), so
-the two produce identical SWAP sequences.
+directory keyed by a hash of the source and the compiler flags.
+Everything is best-effort: no compiler, a failed build, or an input the
+kernel declines simply returns ``None`` and the caller runs its
+pure-Python loop, which is the reference implementation.  The kernels
+replicate the Python code operation for operation (see the header
+comment of the C file), so both paths produce identical routes.
 
-One entry point is exposed, :func:`solve_layers_batch_native`: every
-layer of a circuit in a single FFI crossing, with the per-layer
-preprocessing and the placement evolution run natively.  It honours a
-cooperative :class:`~repro.resilience.deadline.Deadline`: the kernel
-gets the time left and returns ``-4`` once it is used up, which surfaces
-as :class:`~repro.resilience.deadline.DeadlineExceeded`.  The other
-return codes are ``-1`` (search exhausted) and ``-2`` (expansion budget
-exceeded), both :class:`RoutingError`, and ``-3`` (capacity or
-allocation failure), which falls back to the Python kernel.
+Two entry points are exposed, one native crossing per routed circuit:
 
-Set the environment variable ``REPRO_NO_NATIVE=1`` to disable the
-native path (useful to benchmark or debug the Python kernel).
+* :func:`solve_layers_batch_native` routes every A* layer of a circuit.
+  Its return codes are ``-1`` (search exhausted) and ``-2`` (expansion
+  budget exceeded), both :class:`RoutingError`, and ``-3`` (capacity or
+  allocation failure), which falls back to the Python kernel.
+* :func:`route_family_native` runs the SABRE-family loop of
+  :mod:`repro.mapping.routing.family` (sabre, latency and reliability)
+  and returns the emission order.  ``-3`` (allocation failure) and
+  ``-5`` (the stall valve fired, or no candidate SWAP exists) run the
+  Python loop from scratch, which gives the same route or the same
+  :class:`RoutingError`; ``-6`` (event buffer full) grows the buffer
+  4x and calls again.
+
+Both honour a cooperative
+:class:`~repro.resilience.deadline.Deadline`: the kernel gets the time
+left and returns ``-4`` once it is used up, which surfaces as
+:class:`~repro.resilience.deadline.DeadlineExceeded`, never as a rerun
+in Python.  The tables they read (edge arrays, the hop matrix as int32
+and as doubles) are built once per :class:`~repro.devices.device.Device`
+and held in its ``routing_tables``, as ``array.array`` objects, so a
+device still pickles.
+
+Set the environment variable ``REPRO_NO_NATIVE=1`` to disable both
+native paths (useful to benchmark or debug the Python loops).
 """
 
 from __future__ import annotations
@@ -32,18 +45,30 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
+from itertools import accumulate, chain
 
+from ...obs import add_counter
 from ...resilience.deadline import Deadline
 from .base import RoutingError
 
 __all__ = [
+    "Distances",
+    "hop_distances",
     "kernel_stats",
+    "note_family_python_call",
     "note_python_layer",
+    "route_family_native",
     "solve_layers_batch_native",
     "warm_kernel",
 ]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_astar_kernel.c")
+
+#: Compiler flags; part of the cache tag, so a change rebuilds.
+#: ``-ffp-contract=off``: no fused multiply-add, whose single rounding
+#: would differ from Python's two (GCC fuses by default on aarch64).
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 #: Tri-state: unset (None), unavailable (False), or the loaded library.
 _lib = None
@@ -62,6 +87,10 @@ _build_calls = 0
 _native_layers = 0
 _python_layers = 0
 _batch_calls = 0
+#: ``route_family`` calls routed by the family kernel vs by the Python
+#: loop; every call counts once, in exactly one of them.
+_family_native_calls = 0
+_family_python_calls = 0
 
 
 def _build_library():
@@ -77,7 +106,9 @@ def _build_library():
     if compiler is None or not os.path.exists(_SOURCE):
         return None
     with open(_SOURCE, "rb") as fh:
-        tag = hashlib.sha256(fh.read()).hexdigest()[:16]
+        digest = hashlib.sha256(fh.read())
+    digest.update(" ".join(_CFLAGS).encode())
+    tag = digest.hexdigest()[:16]
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"repro-native-{os.getuid()}"
     )
@@ -87,7 +118,7 @@ def _build_library():
             os.makedirs(cache_dir, exist_ok=True)
             tmp_path = f"{so_path}.{os.getpid()}.tmp"
             subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_path, _SOURCE],
+                [compiler, *_CFLAGS, "-o", tmp_path, _SOURCE],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -114,6 +145,24 @@ def _build_library():
         ctypes.c_int64,         # max_expansions
         ctypes.c_double,        # budget_s (inf: no deadline)
         p32, p32, p32, i32,     # out_pa, out_pb, out_start, max_out
+    ]
+    i64 = ctypes.c_int64
+    p64 = ctypes.POINTER(i64)
+    lib.route_family_batch.restype = i64
+    lib.route_family_batch.argtypes = [
+        i32,                    # n
+        p32, p32, i32,          # edges
+        pdbl,                   # dist (n * n doubles)
+        i32,                    # n_gates
+        p32, p32,               # pair_a, pair_b
+        p32, p32, p32,          # succ_start, succ_idx, pred_count
+        p32, p32, p64,          # op_a, op_b, dur (latency)
+        p32,                    # p2h (updated in place)
+        i32, i32, ctypes.c_double, i64,          # policy, lookahead, weight, max_stall
+        i32, ctypes.c_double, i64,               # use_decay, latency_weight, swap_dur
+        pdbl, p64,              # swap_err (reliability), avail (latency)
+        ctypes.c_double,        # budget_s (inf: no deadline)
+        p32, i64, p64,          # events, max_events, counts
     ]
     return lib
 
@@ -152,7 +201,8 @@ def kernel_stats() -> dict:
     path; ``resolved`` says the tri-state was settled (either way);
     ``available`` says the native kernel is loaded and not disabled.  The
     remaining keys count actual kernel usage: A* layers solved natively
-    vs. by the Python reference loop, and whole-circuit batch calls.
+    vs. by the Python reference loop, whole-circuit A* batch calls, and
+    SABRE-family calls routed by the kernel vs by the Python loop.
     Pool workers ship these to the parent so services can report how
     much routing work ran on the native path.
     """
@@ -163,6 +213,8 @@ def kernel_stats() -> dict:
         "native_layers": _native_layers,
         "python_layers": _python_layers,
         "batch_calls": _batch_calls,
+        "family_native_calls": _family_native_calls,
+        "family_python_calls": _family_python_calls,
     }
 
 
@@ -172,16 +224,128 @@ def note_python_layer() -> None:
     _python_layers += 1
 
 
-_MAX_SEQUENCE = 4096
+def note_family_python_call() -> None:
+    """Record one ``route_family`` call routed by the Python loop."""
+    global _family_python_calls
+    _family_python_calls += 1
+    add_counter("family.python_calls", 1)
+
+
+# ----------------------------------------------------------------------
+# Per-device tables
+# ----------------------------------------------------------------------
 
 _i32 = ctypes.c_int32
+_i64 = ctypes.c_int64
+_f64 = ctypes.c_double
+
+
+def _view(ctype, values: array):
+    """A ctypes array over ``values``' buffer (no copy)."""
+    return (ctype * len(values)).from_buffer(values)
+
+
+def _edge_tables(device) -> tuple[array, array]:
+    """The device's sorted undirected edges as two int32 arrays."""
+    tables = device.routing_tables
+    edges = tables.get("edges")
+    if edges is None:
+        pairs = device.undirected_edge_list
+        edges = tables["edges"] = (
+            array("i", [a for a, _ in pairs]), array("i", [b for _, b in pairs])
+        )
+    return edges
+
+
+def _hops32(device) -> array | None:
+    """The hop matrix as ``n * n`` int32 (A*), or ``None`` when an entry
+    is not an ``int`` in range."""
+    tables = device.routing_tables
+    if "hops32" not in tables:
+        flat = device.distance_flat
+        table = None
+        if all(type(d) is int for d in flat):
+            try:
+                table = array("i", flat)
+            except OverflowError:
+                pass
+        tables["hops32"] = table
+    return tables["hops32"]
+
+
+#: Entries of a distance matrix the family kernel accepts: each one an
+#: ``int`` within this bound or a ``float``.  Below ``2**31`` an ``int``
+#: is exact as a double, and so is every partial sum of fewer than
+#: ``2**21`` of them (:data:`_MAX_GATES`), so the kernel's sums and
+#: divisions equal Python's integer sums followed by true division.
+_INT_BOUND = 2**31
+_MAX_GATES = 2**21
+
+
+class Distances:
+    """A distance matrix of the family loop and its kernel form.
+
+    ``matrix`` (rows of numbers) is what the Python loop reads.
+    :meth:`doubles` is the same matrix as ``n * n`` doubles for the
+    family kernel, built on first use, or ``None`` when the kernel must
+    decline it: anything but ``n`` lists or tuples of ``n`` entries, or
+    an entry that is not exactly an ``int`` (``bool`` included) within
+    ``2**31`` or a ``float``.  Tables held on a device (its hop counts, reliability's
+    weighted matrices) convert once.
+    """
+
+    __slots__ = ("matrix", "_doubles")
+
+    def __init__(self, matrix) -> None:
+        self.matrix = matrix
+        self._doubles = False  # not built yet
+
+    def doubles(self, n: int) -> array | None:
+        if self._doubles is False:
+            self._doubles = _doubles(self.matrix, n)
+        return self._doubles
+
+
+def _doubles(matrix, n: int) -> array | None:
+    sequences = (list, tuple)
+    if type(matrix) not in sequences or len(matrix) != n:
+        return None
+    if any(type(row) not in sequences or len(row) != n for row in matrix):
+        return None
+    # Whole-list builtins rather than a loop per entry: a service job
+    # builds these tables for a fresh device (14,161 entries on 119
+    # qubits).  When min and max lie within the bound, so does every
+    # int; they skip a NaN unless it comes first, and then the bound
+    # test fails and each int is checked.
+    flat = list(chain.from_iterable(matrix))
+    types = set(map(type, flat))
+    if not types <= {int, float}:
+        return None
+    bound = _INT_BOUND
+    if int in types and not -bound <= min(flat) <= max(flat) <= bound:
+        if any(type(d) is int and not -bound <= d <= bound for d in flat):
+            return None
+    return array("d", flat)
+
+
+def hop_distances(device) -> Distances:
+    """The device's hop-count matrix, held on the device."""
+    tables = device.routing_tables
+    hops = tables.get("hops")
+    if hops is None:
+        hops = tables["hops"] = Distances(device.distance_matrix)
+    return hops
+
+
+# ----------------------------------------------------------------------
+# A* layer search
+# ----------------------------------------------------------------------
+
+_MAX_SEQUENCE = 4096
 
 
 def solve_layers_batch_native(
-    n: int,
-    nbits: int,
-    edges,
-    dflat,
+    device,
     layer_pairs,
     layer_futures,
     p2h,
@@ -191,9 +355,8 @@ def solve_layers_batch_native(
     """Route every layer of one circuit in a single native crossing.
 
     Args:
-        n, nbits: Device size and bits per packed slot.
-        edges: The device's sorted undirected edge list.
-        dflat: Flat integer distance matrix (``n * n`` entries).
+        device: Target device; its edge arrays and int32 hop table are
+            built on first use and held in ``device.routing_tables``.
         layer_pairs: Per layer, the ``(prog_a, prog_b)`` operand pairs.
         layer_futures: Per layer, the ``((prog_a, prog_b), weight)``
             look-ahead entries.
@@ -215,8 +378,11 @@ def solve_layers_batch_native(
     lib = _get_lib()
     if lib is None:
         return None
-    if not all(type(d) is int for d in dflat):
+    hops = _hops32(device)
+    if hops is None:
         return None
+    n = device.num_qubits
+    edge_a, edge_b = _edge_tables(device)
 
     n_layers = len(layer_pairs)
     pair_a: list[int] = []
@@ -242,11 +408,8 @@ def solve_layers_batch_native(
     c_pair_start = (_i32 * (n_layers + 1))(*pair_start)
     c_fut_a = (_i32 * max(len(fut_a), 1))(*fut_a)
     c_fut_b = (_i32 * max(len(fut_b), 1))(*fut_b)
-    c_fut_w = (ctypes.c_double * max(len(fut_w), 1))(*fut_w)
+    c_fut_w = (_f64 * max(len(fut_w), 1))(*fut_w)
     c_fut_start = (_i32 * (n_layers + 1))(*fut_start)
-    c_edge_pa = (_i32 * max(len(edges), 1))(*[e[0] for e in edges])
-    c_edge_pb = (_i32 * max(len(edges), 1))(*[e[1] for e in edges])
-    c_dflat = (_i32 * len(dflat))(*dflat)
     # The kernel evolves the permutation in place; hand it a copy so a
     # fallback (or failure) leaves the caller's placement untouched.
     c_p2h = (_i32 * n)(*p2h)
@@ -256,9 +419,9 @@ def solve_layers_batch_native(
     out_start = (_i32 * (n_layers + 1))()
 
     rc = lib.solve_layers_batch(
-        n, nbits,
-        c_edge_pa, c_edge_pb, len(edges),
-        c_dflat,
+        n, max(1, (n - 1).bit_length()),
+        _view(_i32, edge_a), _view(_i32, edge_b), len(edge_a),
+        _view(_i32, hops),
         n_layers,
         c_pair_a, c_pair_b, c_pair_start,
         c_fut_a, c_fut_b, c_fut_w, c_fut_start,
@@ -284,3 +447,160 @@ def solve_layers_batch_native(
         [(out_pa[i], out_pb[i]) for i in range(out_start[l], out_start[l + 1])]
         for l in range(n_layers)
     ]
+
+
+# ----------------------------------------------------------------------
+# SABRE-family loop
+# ----------------------------------------------------------------------
+
+#: Policy codes of ``route_family_batch``, by router name.
+_POLICIES = {"sabre": 0, "latency": 1, "reliability": 2}
+
+
+def _exact_weight(weight) -> bool:
+    """A weight the kernel multiplies exactly as Python does: a ``float``,
+    or an ``int`` whose products with exact sums stay exact."""
+    return type(weight) is float or (type(weight) is int and -1 <= weight <= 1)
+
+
+def route_family_native(
+    device,
+    gates,
+    pairs,
+    successors,
+    waiting,
+    p2h,
+    dist: Distances,
+    *,
+    router: str,
+    lookahead,
+    extended_weight,
+    max_stall: int,
+    deadline: Deadline | None = None,
+    use_decay: bool = False,
+    latency_weight=0.0,
+    swap_duration: int = 0,
+    avail=None,
+    swap_error: array | None = None,
+):
+    """Run the SABRE-family loop of one circuit in a single native crossing.
+
+    Args:
+        device: Target device (edge tables held on it).
+        gates, pairs, successors, waiting: The loop's inputs: the gates,
+            each gate's program pair (``None``: no coupled pair needed),
+            the dependency graph's successor lists and predecessor
+            counts.
+        p2h: Program->physical array of the initial placement; not
+            mutated.
+        dist: The score's distances.
+        router: ``"sabre"``, ``"latency"`` or ``"reliability"``.
+        lookahead, extended_weight, max_stall: As in the Python loop.
+        deadline: Cooperative deadline, polled once per decision.
+        use_decay: Sabre's decay.
+        latency_weight, swap_duration, avail: The latency policy's
+            weight, SWAP duration and ASAP schedule (``None`` for the
+            other policies); ``avail`` is updated in place when the
+            kernel routes the circuit.
+        swap_error: Reliability's per-edge SWAP error.
+
+    Returns:
+        ``(events, candidates scored, decisions)``, with ``events`` the
+        emission order: a gate index, or ``-1 - (pa * n + pb)`` for the
+        SWAP of physical ``(pa, pb)``.  ``None`` when the Python loop
+        must route the circuit: no kernel, an input the kernel declines
+        (a gate on more than two qubits, inexact numbers), or a run that
+        reached the stall valve or found no candidate SWAP.  Raises
+        :class:`~repro.resilience.deadline.DeadlineExceeded` when the
+        deadline passes.
+    """
+    global _family_native_calls
+    lib = _get_lib()
+    if lib is None:
+        return None
+    n = device.num_qubits
+    n_gates = len(gates)
+    if (
+        n_gates >= _MAX_GATES
+        or len(p2h) != n
+        or n * n >= 2**31
+        or type(lookahead) is not int
+        or not _exact_weight(extended_weight)
+        or not _exact_weight(latency_weight)
+        or any(len(g.qubits) > 2 for g in gates)
+    ):
+        return None
+    table = dist.doubles(n)
+    if table is None:
+        return None
+    edge_a, edge_b = _edge_tables(device)
+    # The kernel reads the policy's tables without bounds checks.
+    if router == "latency" and (avail is None or len(avail) != n):
+        raise ValueError("the latency policy needs one avail entry per qubit")
+    if router == "reliability" and (
+        swap_error is None or len(swap_error) != len(edge_a)
+    ):
+        raise ValueError("the reliability policy needs one SWAP error per edge")
+
+    pair_a = array("i", [p[0] if p else -1 for p in pairs])
+    pair_b = array("i", [p[1] if p else -1 for p in pairs])
+    if max(pair_a, default=-1) >= n or max(pair_b, default=-1) >= n:
+        return None  # a qubit beyond the placement: the Python loop raises
+    succ_lists = list(map(successors, range(n_gates)))
+    succ_start = array("i", accumulate(map(len, succ_lists), initial=0))
+    succ_idx = array("i", chain.from_iterable(succ_lists))
+    pred_count = array("i", waiting)
+    c_ops = (None, None, None)
+    if avail is not None:
+        # Each gate's operands and duration, looked up once per name.
+        by_name = {
+            name: 0 if name == "barrier" else device.duration(name)
+            for name in {g.name for g in gates}
+        }
+        if any(abs(d) >= _INT_BOUND for d in by_name.values()) or (
+            abs(swap_duration) >= _INT_BOUND
+        ):
+            return None
+        op_a = array("i", [g.qubits[0] if g.qubits else -1 for g in gates])
+        op_b = array("i", [g.qubits[1] if len(g.qubits) > 1 else -1 for g in gates])
+        if max(op_a, default=-1) >= n or max(op_b, default=-1) >= n:
+            return None
+        dur = array("q", [by_name[g.name] for g in gates])
+        c_ops = (_view(_i32, op_a), _view(_i32, op_b), _view(_i64, dur))
+    c_swap_error = None if swap_error is None else _view(_f64, swap_error)
+    counts = array("q", [0, 0])
+    capacity = 4 * n_gates + 64
+    while True:
+        events = array("i", [0]) * capacity
+        scratch_p2h = array("i", p2h)
+        scratch_avail = array("q", avail if avail is not None else ())
+        rc = lib.route_family_batch(
+            n,
+            _view(_i32, edge_a), _view(_i32, edge_b), len(edge_a),
+            _view(_f64, table),
+            n_gates,
+            _view(_i32, pair_a), _view(_i32, pair_b),
+            _view(_i32, succ_start), _view(_i32, succ_idx), _view(_i32, pred_count),
+            *c_ops,
+            _view(_i32, scratch_p2h),
+            _POLICIES[router], max(min(lookahead, n_gates), 0),
+            extended_weight, max_stall,
+            use_decay, latency_weight, swap_duration,
+            c_swap_error, _view(_i64, scratch_avail) if avail is not None else None,
+            math.inf if deadline is None else deadline.remaining(),
+            _view(_i32, events), capacity, _view(_i64, counts),
+        )
+        if rc != -6:
+            break
+        capacity *= 4
+    if rc == -4:
+        _family_native_calls += 1
+        add_counter("family.native_calls", 1)
+        raise deadline.exceeded(f"{router} routing")
+    if rc < 0:
+        return None
+    _family_native_calls += 1
+    add_counter("family.native_calls", 1)
+    if avail is not None:
+        avail[:] = scratch_avail
+    return events[:rc], counts[0], counts[1]

@@ -89,10 +89,7 @@ def route_astar(
     batched = None
     if layers:
         batched = solve_layers_batch_native(
-            device.num_qubits,
-            max(1, (device.num_qubits - 1).bit_length()),
-            device.undirected_edge_list,
-            device.distance_flat,
+            device,
             all_pairs,
             all_future,
             current.key(),

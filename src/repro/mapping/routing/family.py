@@ -15,6 +15,13 @@ The look-ahead set depends only on the emitted gates, so it is reused
 until the next emission.  Candidates are scored from flat per-decision
 terms (:class:`_Terms`): a SWAP of ``(pa, pb)`` changes only the terms
 of the pairs on ``pa`` or ``pb``.
+
+The loop runs in the native kernel when it is available
+(:func:`~repro.mapping.routing._astar_native.route_family_native`, one
+crossing per circuit); the Python loop below is its byte-identical
+mirror, and runs when the kernel is disabled or declines the circuit.
+Both produce the emission order, gate indices and SWAPs, and
+:func:`_routed` builds the routed circuit from it.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from ...devices.device import Device
 from ...obs import add_counter
 from ...resilience.deadline import current_deadline
 from ..placement import Placement
+from ._astar_native import Distances, note_family_python_call, route_family_native
 from .base import RoutingError, RoutingResult, device_path
 
 __all__ = ["Policy", "route_family"]
@@ -45,13 +53,21 @@ class Policy:
     router: str
     max_stall: int
 
+    def kernel_options(self) -> dict | None:
+        """The policy's keyword arguments of
+        :func:`~repro.mapping.routing._astar_native.route_family_native`,
+        or ``None`` when the kernel cannot mirror the policy (the
+        default: only sabre, latency and reliability have a mirror)."""
+        return None
+
     def choose(self, candidates: list[tuple[int, int]], terms: "_Terms") -> tuple[int, int]:
         """The SWAP to apply among ``candidates`` (sorted coupling edges);
         the loop always applies it."""
         raise NotImplementedError
 
-    def emitted(self, gate) -> None:
-        """A circuit gate was emitted, on physical qubits."""
+    def emitted(self, gate, p2h) -> None:
+        """A circuit gate was emitted; ``p2h[q]`` is the physical qubit
+        of its operand ``q``."""
 
     def decided(self, pa: int, pb: int) -> None:
         """A decision ended with the SWAP ``(pa, pb)``, or, when the stall
@@ -64,19 +80,19 @@ def route_family(
     placement: Placement | None,
     policy: Policy,
     *,
-    dist,
+    dist: Distances,
     lookahead: int,
     extended_weight: float,
     commutation: bool = False,
 ) -> RoutingResult:
     """Route ``circuit`` with ``policy`` choosing every SWAP.
 
-    ``dist`` is the distance matrix of the score terms, ``lookahead`` the
-    size of the look-ahead set and ``extended_weight`` its weight; the
-    other arguments are those of the routers.  The result has no metadata.
+    ``dist`` holds the distance matrix of the score terms, ``lookahead``
+    is the size of the look-ahead set and ``extended_weight`` its weight;
+    the other arguments are those of the routers.  The result has no
+    metadata.
     """
     initial = (placement or Placement.trivial(device.num_qubits, circuit.num_qubits)).copy()
-    p2h = initial.prog_to_phys()
     dag = DependencyGraph(circuit, commutation=commutation)
     gates = circuit.gates
     # Program-qubit pair of each gate that needs a coupled pair: the
@@ -84,12 +100,32 @@ def route_family(
     pairs = [g.qubits if len(g.qubits) == 2 and g.is_unitary else None for g in gates]
     waiting = [len(dag.predecessors(i)) for i in range(len(gates))]
     successors = dag.successors
+    deadline = current_deadline()
+    options = policy.kernel_options()
+    run = None
+    if options is not None:
+        run = route_family_native(
+            device, gates, pairs, successors, waiting, initial.prog_to_phys(), dist,
+            router=policy.router, lookahead=lookahead,
+            extended_weight=extended_weight, max_stall=policy.max_stall,
+            deadline=deadline, **options,
+        )
+    if run is not None:
+        events, scored, decisions = run
+        _report(policy.router, scored, decisions, 0)
+        return _routed(circuit, device, initial, events, policy.router)
+
+    # The Python loop: the kernel's reference, operation for operation.
+    note_family_python_call()
+    events = []
+    n = device.num_qubits
+    p2h = initial.prog_to_phys()
     linked = device.edges
     incident = device.incident_edges
-    out = Circuit(device.num_qubits, name=circuit.name)
+    matrix = dist.matrix
 
     def swap(pa: int, pb: int) -> None:
-        out.append(G.swap(pa, pb))
+        events.append(-1 - (pa * n + pb))
         a, b = p2h.index(pa), p2h.index(pb)
         p2h[a], p2h[b] = pb, pa
 
@@ -97,7 +133,6 @@ def route_family(
     pending = sorted(front)
     look = None
     stall = decisions = scored = forced = 0
-    deadline = current_deadline()
     while front:
         # Cooperative deadline poll: one clock read per decision.
         if deadline is not None:
@@ -116,10 +151,8 @@ def route_family(
                     pa, pb = p2h[pair[0]], p2h[pair[1]]
                     if (pa, pb) not in linked and (pb, pa) not in linked:
                         continue
-                gate = gates[index]
-                placed = gate.remap({q: p2h[q] for q in gate.qubits})
-                out.append(placed)
-                policy.emitted(placed)
+                events.append(index)
+                policy.emitted(gates[index], p2h)
                 front.discard(index)
                 for succ in successors(index):
                     waiting[succ] -= 1
@@ -148,7 +181,7 @@ def route_family(
         candidates = sorted(edges)
         scored += len(candidates)
         pa, pb = policy.choose(
-            candidates, _Terms(look, front_n, p2h, dist, extended_weight)
+            candidates, _Terms(look, front_n, p2h, matrix, extended_weight)
         )
         swap(pa, pb)
         stall += 1
@@ -166,15 +199,47 @@ def route_family(
         policy.decided(pa, pb)
         pending = blocked
 
-    add_counter(f"{policy.router}.swap_candidates_scored", scored)
-    add_counter(f"{policy.router}.swap_decisions", decisions)
+    _report(policy.router, scored, decisions, forced)
+    return _routed(circuit, device, initial, events, policy.router)
+
+
+def _report(router: str, scored: int, decisions: int, forced: int) -> None:
+    add_counter(f"{router}.swap_candidates_scored", scored)
+    add_counter(f"{router}.swap_decisions", decisions)
     if forced:
-        add_counter(f"{policy.router}.forced_routes", forced)
+        add_counter(f"{router}.forced_routes", forced)
+
+
+def _routed(
+    circuit: Circuit, device: Device, initial: Placement, events, router: str
+) -> RoutingResult:
+    """The routed circuit of an emission order.
+
+    ``events`` lists gate indices of ``circuit`` and SWAPs, each SWAP as
+    ``-1 - (pa * n + pb)`` for physical ``(pa, pb)``; the program-to-
+    physical and physical-to-program arrays follow the SWAPs in step.
+    """
+    n = device.num_qubits
+    gates = circuit.gates
+    p2h = initial.prog_to_phys()
+    h2p = [0] * len(p2h)
+    for prog, phys in enumerate(p2h):
+        h2p[phys] = prog
+    out = Circuit(n, name=circuit.name)
+    append = out.append
+    for event in events:
+        if event >= 0:
+            gate = gates[event]
+            append(gate.remap({q: p2h[q] for q in gate.qubits}))
+        else:
+            pa, pb = divmod(-1 - event, n)
+            append(G.swap(pa, pb))
+            a, b = h2p[pa], h2p[pb]
+            p2h[a], p2h[b] = pb, pa
+            h2p[pa], h2p[pb] = b, a
     # Every gate of the circuit was emitted once; the rest are SWAPs.
     added = len(out.gates) - len(gates)
-    return RoutingResult(
-        out, initial, Placement(p2h, initial.num_program), added, policy.router
-    )
+    return RoutingResult(out, initial, Placement(p2h, initial.num_program), added, router)
 
 
 class _Terms:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from ...core.circuit import Circuit
 from ...devices.device import Device
 from ..placement import Placement
+from ._astar_native import hop_distances
 from .base import RoutingResult
 from .family import Policy, route_family
 
@@ -63,7 +64,7 @@ def route_latency(
     policy = _LatencyPolicy(device, latency_weight)
     result = route_family(
         circuit, device, placement, policy,
-        dist=device.distance_matrix,
+        dist=hop_distances(device),
         lookahead=lookahead,
         extended_weight=extended_weight,
         commutation=commutation,
@@ -93,6 +94,13 @@ class _LatencyPolicy(Policy):
         self.avail = [0] * device.num_qubits
         self.swap_duration = device.duration("swap")
 
+    def kernel_options(self):
+        return {
+            "latency_weight": self.latency_weight,
+            "swap_duration": self.swap_duration,
+            "avail": self.avail,
+        }
+
     def choose(self, candidates, terms):
         avail = self.avail
         weight = self.latency_weight
@@ -107,9 +115,10 @@ class _LatencyPolicy(Policy):
         avail[pa] = avail[pb] = max(avail[pa], avail[pb]) + self.swap_duration
         return best
 
-    def emitted(self, gate):
+    def emitted(self, gate, p2h):
         avail = self.avail
-        start = max((avail[p] for p in gate.qubits), default=0)
+        qubits = [p2h[q] for q in gate.qubits]
+        start = max((avail[p] for p in qubits), default=0)
         finish = start + (0 if gate.is_barrier else self.device.duration(gate))
-        for p in gate.qubits:
+        for p in qubits:
             avail[p] = finish

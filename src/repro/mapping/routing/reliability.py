@@ -26,11 +26,13 @@ full variability-aware flow.
 from __future__ import annotations
 
 import math
+from array import array
 
 from ...core.circuit import Circuit
 from ...devices.device import Device
 from ...sim.noise import NoiseModel
 from ..placement import Placement
+from ._astar_native import Distances
 from .base import RoutingResult
 from .family import Policy, route_family
 
@@ -65,15 +67,48 @@ def route_reliability(
         A connectivity-satisfying :class:`RoutingResult`.
     """
     model = noise or NoiseModel()
+    swap_error, swap_errors, dist = _weighted(device, model)
     result = route_family(
         circuit, device, placement,
-        _ReliabilityPolicy(device, model),
-        dist=model.weighted_distance_matrix(device),
+        _ReliabilityPolicy(device, swap_error, swap_errors),
+        dist=dist,
         lookahead=lookahead,
         extended_weight=extended_weight,
     )
     result.metadata = {"lookahead": lookahead, "noise_aware": True}
     return result
+
+
+def _weighted(device: Device, model: NoiseModel):
+    """Each edge's SWAP error, by edge and in edge order, and the
+    error-weighted distances under ``model``, computed once per device
+    and edge errors.
+
+    Both read only the error of each undirected edge, so those errors
+    (and their types) key the tables.  The device holds the latest set
+    in its ``routing_tables``, with the kernel's form of the matrix; a
+    call under other errors replaces it.
+    """
+    errors = tuple(
+        model.edge_error.get(edge, model.error_2q)
+        for edge in device.undirected_edge_list
+    )
+    key = errors + tuple(map(type, errors))
+    held = device.routing_tables.get("reliability")
+    if held is not None and held[0] == key:
+        return held[1]
+    # -log success of each edge's SWAP: three two-qubit gates.
+    swap_error = {
+        edge: -3.0 * math.log(max(1.0 - error, 1e-12))
+        for edge, error in zip(device.undirected_edge_list, errors)
+    }
+    entry = (
+        swap_error,
+        array("d", swap_error.values()),
+        Distances(model.weighted_distance_matrix(device)),
+    )
+    device.routing_tables["reliability"] = (key, entry)
+    return entry
 
 
 class _ReliabilityPolicy(Policy):
@@ -83,17 +118,15 @@ class _ReliabilityPolicy(Policy):
 
     router = "reliability"
 
-    def __init__(self, device: Device, model: NoiseModel) -> None:
+    def __init__(self, device: Device, swap_error: dict, swap_errors: array) -> None:
         # Tighter than SABRE's guard: on a flat error landscape we prefer
         # to bail out to a plain shortest-path burst early.
         self.max_stall = 2 * device.num_qubits + 8
-        # -log success of each edge's SWAP: three two-qubit gates.
-        self.swap_error = {
-            edge: -3.0 * math.log(
-                max(1.0 - model.edge_error.get(edge, model.error_2q), 1e-12)
-            )
-            for edge in device.undirected_edge_list
-        }
+        self.swap_error = swap_error
+        self.swap_errors = swap_errors
+
+    def kernel_options(self):
+        return {"swap_error": self.swap_errors}
 
     def choose(self, candidates, terms):
         best = best_score = progress = progress_score = None

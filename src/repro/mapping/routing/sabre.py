@@ -26,6 +26,7 @@ from __future__ import annotations
 from ...core.circuit import Circuit
 from ...devices.device import Device
 from ..placement import Placement
+from ._astar_native import Distances, hop_distances
 from .base import RoutingResult
 from .family import Policy, route_family
 
@@ -75,7 +76,10 @@ def route_sabre(
     result = route_family(
         circuit, device, placement,
         _SabrePolicy(device.num_qubits, use_decay, swap_penalty),
-        dist=distance_matrix if distance_matrix is not None else device.distance_matrix,
+        dist=(
+            hop_distances(device) if distance_matrix is None
+            else Distances(distance_matrix)
+        ),
         lookahead=lookahead,
         extended_weight=extended_weight,
         commutation=commutation,
@@ -94,6 +98,12 @@ class _SabrePolicy(Policy):
         self.swap_penalty = swap_penalty
         self.decay = [1.0] * num_qubits if use_decay else None
         self.decisions = 0
+
+    def kernel_options(self):
+        # The kernel cannot call back into a Python penalty.
+        if self.swap_penalty is not None:
+            return None
+        return {"use_decay": self.decay is not None}
 
     def choose(self, candidates, terms):
         penalty = self.swap_penalty

@@ -89,6 +89,8 @@ def _worker_main(worker_id: int, task_queue, out_queue):
             "native_layers": stats["native_layers"],
             "python_layers": stats["python_layers"],
             "batch_calls": stats["batch_calls"],
+            "family_native_calls": stats["family_native_calls"],
+            "family_python_calls": stats["family_python_calls"],
             "preload_s": round(time.perf_counter() - t0, 6),
             "jobs_run": jobs_run,
         }

@@ -20,6 +20,7 @@ from repro.mapping.routing import route_astar
 from repro.mapping.routing import astar as astar_mod
 from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
 from repro.resilience import Deadline, use_deadline
+from repro.sim.noise import NoiseModel
 from repro.workloads import random_circuit
 
 from .seed_baseline import fingerprint
@@ -108,3 +109,85 @@ class TestCapBoundary:
             assert after["native_layers"] > before["native_layers"], n
             results[n] = (routed.added_swaps, fingerprint(routed.circuit))
         assert results[64] == results[65]
+
+
+class TestFamilyKernel:
+    """The SABRE-family kernel: path counters and per-device tables."""
+
+    def test_service_and_pool_report_family_calls(self):
+        from repro.core.pipeline import PassConfig
+        from repro.devices import get_device
+        from repro.qasm import to_openqasm
+        from repro.service import CompileCache, CompileJob, CompileService
+
+        def job(seed, router):
+            qasm = to_openqasm(random_circuit(5, 12, seed=seed, two_qubit_fraction=0.6))
+            return CompileJob.create(
+                qasm, get_device("ibm_qx4"), PassConfig(router=router),
+                job_id=f"{router}{seed}",
+            )
+
+        routers = ["sabre", "latency", "reliability", "astar"]
+        # Inline (one job): the service's own kernel stats move.
+        service = CompileService(CompileCache())
+        before = service.stats()["kernel"]
+        assert service.submit_batch([job(0, "latency")])[0].ok
+        after = service.stats()["kernel"]
+        assert after["family_native_calls"] == before["family_native_calls"] + 1
+        assert after["family_python_calls"] == before["family_python_calls"]
+        # Pool: each worker reports its own counts.
+        with CompileService(CompileCache(), max_workers=2) as service:
+            ready = {rep["worker_id"]: rep for rep in service.prewarm()}
+            jobs = [job(s, routers[s % 4]) for s in range(8)]
+            assert all(r.ok for r in service.submit_batch(jobs))
+            reports = service._pool.worker_stats()
+            native = sum(
+                rep["family_native_calls"] - ready[rep["worker_id"]]["family_native_calls"]
+                for rep in reports
+            )
+            python = sum(
+                rep["family_python_calls"] - ready[rep["worker_id"]]["family_python_calls"]
+                for rep in reports
+            )
+            assert (native, python) == (6, 0)
+
+    def test_tables_live_on_the_device_and_pickle(self):
+        import pickle
+
+        from repro.mapping.routing import route_latency, route_reliability, route_sabre
+
+        device = grid_device(8, 10)
+        circuit = _circuit(12, 40, 21)
+        for route in (route_sabre, route_latency, route_reliability, route_astar):
+            route(circuit, device)
+        tables = device.routing_tables
+        hops32 = tables["hops32"]
+        doubles = tables["hops"].doubles(device.num_qubits)
+        assert len(hops32) == len(doubles) == device.num_qubits**2
+        # Reliability holds one set of weighted tables: the same edge
+        # errors reuse it, other errors replace it.
+        held = tables["reliability"]
+        route_reliability(circuit, device)
+        assert device.routing_tables["reliability"] is held
+        noisy = NoiseModel.with_random_edge_errors(device, seed=3)
+        fresh = grid_device(8, 10)
+        assert fingerprint(route_reliability(circuit, device, noise=noisy).circuit) \
+            == fingerprint(route_reliability(circuit, fresh, noise=noisy).circuit)
+        assert device.routing_tables["reliability"] is not held
+        assert fingerprint(route_reliability(circuit, device).circuit) \
+            == fingerprint(route_reliability(circuit, fresh).circuit)
+        # Built once: the next calls read the same tables.
+        before = kernel_stats()
+        route_astar(circuit, device)
+        route_sabre(circuit, device)
+        assert device.routing_tables["hops32"] is hops32
+        assert device.routing_tables["hops"].doubles(device.num_qubits) is doubles
+        after = kernel_stats()
+        assert after["batch_calls"] == before["batch_calls"] + 1
+        assert after["family_native_calls"] == before["family_native_calls"] + 1
+        # array.array tables keep the device picklable, and they travel.
+        clone = pickle.loads(pickle.dumps(device))
+        assert clone.routing_tables["hops32"] == hops32
+        assert fingerprint(route_sabre(circuit, clone).circuit) == fingerprint(
+            route_sabre(circuit, device).circuit
+        )

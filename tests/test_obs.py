@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.pipeline import compile_circuit
 from repro.devices import get_device
-from repro.mapping.routing import route_latency, route_reliability
+from repro.mapping.routing import route_latency, route_reliability, route_sabre
+from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
@@ -266,6 +267,24 @@ class TestPipelineIntegration:
         assert f"{result.router}.forced_routes" not in counters
         assert counters[f"{result.router}.swap_decisions"] == result.added_swaps > 0
         assert counters[f"{result.router}.swap_candidates_scored"] >= result.added_swaps
+
+    @pytest.mark.parametrize("route", [route_sabre, route_latency, route_reliability])
+    def test_family_path_counters(self, route):
+        # Every family call counts once, as native or Python, matching
+        # the process-wide kernel stats.
+        circuit = random_circuit(12, 60, seed=7, two_qubit_fraction=0.6)
+        tracer = Tracer()
+        before = kernel_stats()
+        with use_tracer(tracer):
+            route(circuit, get_device("ibm_qx5"))
+        after = kernel_stats()
+        counters = tracer.counters()
+        native = counters.get("family.native_calls", 0)
+        python = counters.get("family.python_calls", 0)
+        assert native + python == 1
+        assert native == after["family_native_calls"] - before["family_native_calls"]
+        assert python == after["family_python_calls"] - before["family_python_calls"]
+        assert native == (1 if warm_kernel() else 0)
 
     def test_optimizer_counters(self):
         # QX5's native set has ``u``, so the second optimize call fuses.

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from repro.core import Circuit
 from repro.core.pipeline import PassConfig, compile_with_config, fallback_chain
-from repro.devices import get_device
+from repro.devices import get_device, grid_device
 from repro.mapping.routing import (
     route_astar,
     route_latency,
@@ -337,10 +338,22 @@ class TestDeadlineHonoured:
 
     BUDGET = 0.05
 
-    def _route_under_deadline(self, router_fn):
-        # Big enough that unbounded routing takes well over the budget.
-        circuit = random_circuit(16, 1200, seed=7, two_qubit_fraction=0.9)
-        device = get_device("ibm_qx5")
+    @staticmethod
+    def _family_input():
+        # The family kernel alone takes several budgets on this input
+        # (~0.2-0.35 s unbounded), while the Python work before its first
+        # poll (the dependency graph) stays well under one.
+        circuit = random_circuit(100, 3000, seed=7, two_qubit_fraction=0.9)
+        return circuit, grid_device(10, 10)
+
+    def _route_under_deadline(self, router_fn, circuit=None, device=None):
+        if circuit is None:
+            # Big enough that unbounded A* takes well over the budget.
+            circuit = random_circuit(16, 1200, seed=7, two_qubit_fraction=0.9)
+            device = get_device("ibm_qx5")
+        # The device's routing tables are built once per device: build
+        # them here, with a tiny route, not inside the timed window.
+        router_fn(Circuit(2).cnot(0, 1), device)
         # In a whole-suite run a full collection of earlier tests' garbage
         # takes ~100 ms; run it here, not inside the window, which times
         # the router's own polling.
@@ -351,23 +364,36 @@ class TestDeadlineHonoured:
                 router_fn(circuit, device)
         return time.perf_counter() - t0
 
+    def _family_aborts(self, router_fn):
+        # With the kernel available the abort must come from the kernel's
+        # own deadline poll, not from the Python loop (the warm-up route
+        # is the first of the two kernel calls).
+        native = warm_kernel()
+        before = kernel_stats()
+        seconds = self._route_under_deadline(router_fn, *self._family_input())
+        after = kernel_stats()
+        if native:
+            assert after["family_native_calls"] == before["family_native_calls"] + 2
+            assert after["family_python_calls"] == before["family_python_calls"]
+        return seconds
+
     def test_sabre_aborts_within_twice_the_budget(self):
-        assert self._route_under_deadline(route_sabre) < 2 * self.BUDGET
+        assert self._family_aborts(route_sabre) < 2 * self.BUDGET
 
     def test_latency_aborts_within_twice_the_budget(self):
-        assert self._route_under_deadline(route_latency) < 2 * self.BUDGET
+        assert self._family_aborts(route_latency) < 2 * self.BUDGET
 
     def test_reliability_aborts_within_twice_the_budget(self):
-        assert self._route_under_deadline(route_reliability) < 2 * self.BUDGET
+        assert self._family_aborts(route_reliability) < 2 * self.BUDGET
 
     @pytest.mark.parametrize("router", ["latency", "reliability"])
     def test_pipeline_degrades_through_sabre_to_naive(self, router):
         # Unbounded, either router takes several budgets on this circuit;
         # it must abort, and sabre after it, so naive answers.
-        circuit = random_circuit(16, 1200, seed=7, two_qubit_fraction=0.9)
+        circuit, device = self._family_input()
         gc.collect()
         result = compile_with_config(
-            circuit, get_device("ibm_qx5"), PassConfig(router=router),
+            circuit, device, PassConfig(router=router),
             deadline=Deadline.after(self.BUDGET),
         )
         info = result.metadata["resilience"]

@@ -28,7 +28,8 @@ asymmetric and full of exact ties, where a lookup in the wrong order or
 a sum in the wrong order changes a choice.
 
 Every call to the new loop runs under a generous deadline, so a loop
-that stops making progress fails instead of hanging.
+that stops making progress fails instead of hanging.  With the native
+kernel available, the examples it accepts must have taken it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.core.gates import Gate
 from repro.devices import grid_device, heavy_hex_device, ibm_qx5, linear_device, surface17
 from repro.mapping.placement import Placement
 from repro.mapping.routing import route_latency, route_reliability, route_sabre
+from repro.mapping.routing._astar_native import warm_kernel
 from repro.obs import Tracer, use_tracer
 from repro.resilience import Deadline, use_deadline
 from repro.sim.noise import NoiseModel
@@ -58,6 +60,9 @@ _SETTINGS = dict(
 
 #: Seconds the new loop may take on one example (it needs milliseconds).
 _BUDGET_S = 20.0
+
+#: Whether the family kernel routes the examples it accepts.
+_KERNEL = warm_kernel()
 
 _DEVICES = {
     "qx5": ibm_qx5(),
@@ -132,13 +137,17 @@ def problems(draw, devices=tuple(_DEVICES), max_gates: int = 40):
     return name, device, circuit, placement
 
 
-def _outcome(route, circuit, device, placement, deadline=None, **options) -> tuple:
+def _outcome(route, circuit, device, placement, deadline=None, counters=None,
+             **options) -> tuple:
     tracer = Tracer()
     try:
         with use_tracer(tracer), use_deadline(deadline):
             result = route(circuit, device, placement, **options)
     except Exception as exc:  # noqa: BLE001 — the exception is the outcome
         return ("raised", type(exc), str(exc))
+    finally:
+        if counters is not None:
+            counters.update(tracer.counters())
     return (
         "routed",
         [repr(gate) for gate in result.circuit.gates],
@@ -156,10 +165,24 @@ def _outcome(route, circuit, device, placement, deadline=None, **options) -> tup
 def assert_routes_as_before(route, old_route, problem, **options) -> None:
     _, device, circuit, placement = problem
     expected = _outcome(old_route, circuit, device, placement, **options)
+    counters: dict = {}
     actual = _outcome(
-        route, circuit, device, placement, Deadline.after(_BUDGET_S), **options
+        route, circuit, device, placement, Deadline.after(_BUDGET_S), counters,
+        **options,
     )
     assert actual == expected
+    # With the kernel available, every input it accepts (no gate wider
+    # than two qubits, no Python swap penalty) is routed by it, unless the
+    # stall valve hands the circuit back to the Python loop.
+    eligible = (
+        _KERNEL
+        and "swap_penalty" not in options
+        and all(len(gate.qubits) <= 2 for gate in circuit.gates)
+        and actual[0] == "routed"
+        and not any(key.endswith(".forced_routes") for key in counters)
+    )
+    if eligible:
+        assert counters.get("family.native_calls") == 1, counters
 
 
 def _noise(device, kind: str, seed: int = 0) -> NoiseModel:
