@@ -147,16 +147,9 @@ class PassConfig:
         )
 
     def as_kwargs(self) -> dict:
-        """Keyword arguments for :func:`compile_circuit`."""
-        return {
-            "placer": self.placer,
-            "router": self.router,
-            "router_options": dict(self.router_options),
-            "decompose": self.decompose,
-            "optimize": self.optimize,
-            "schedule": self.schedule,
-            "control_constraints": self.control_constraints,
-        }
+        """Keyword arguments for :func:`compile_circuit`: the fields of
+        :meth:`to_dict`."""
+        return self.to_dict()
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (inverse of :meth:`from_dict`)."""

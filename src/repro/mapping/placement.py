@@ -276,7 +276,12 @@ def noise_aware_placement(
     Args:
         noise: A :class:`repro.sim.noise.NoiseModel` with per-edge errors.
     """
-    matrix = noise.weighted_distance_matrix(device)
+    # The reliability router's weighted distances, held on the device
+    # (imported here: the routers import this module).
+    from .routing.reliability import _weighted
+
+    _, _, weighted = _weighted(device, noise)
+    matrix = weighted.matrix
     placement = greedy_placement(circuit, device)
     pairs = circuit.interaction_pairs()
     best = _pairs_cost(pairs, device, placement, matrix)

@@ -21,7 +21,8 @@ Two entry points are exposed, one native crossing per routed circuit:
   ``-5`` (the stall valve fired, or no candidate SWAP exists) run the
   Python loop from scratch, which gives the same route or the same
   :class:`RoutingError`; ``-6`` (event buffer full) grows the buffer
-  4x and calls again.
+  4x and calls again.  Shuttle, the family's fourth policy, has no
+  mirror.
 
 Both honour a cooperative
 :class:`~repro.resilience.deadline.Deadline`: the kernel gets the time

@@ -35,6 +35,7 @@ from ...core.circuit import Circuit
 from ...core.dag import DependencyGraph
 from ...core import gates as G
 from ...devices.device import Device
+from ...resilience.deadline import current_deadline
 from ..placement import Placement
 from .base import RoutingError, RoutingResult
 
@@ -131,9 +132,15 @@ def route_exact(
     else:
         push((0, start.key()), 0.0, None, None)
 
+    deadline = current_deadline()
+    pops = 0
     final_state = None
     while heap:
         cost, _, state = heapq.heappop(heap)
+        # Cooperative deadline poll: one clock read per 256 pops.
+        pops += 1
+        if deadline is not None and not pops & 0xFF:
+            deadline.check("exact routing")
         if cost > best.get(state, float("inf")):
             continue
         mask, key = state

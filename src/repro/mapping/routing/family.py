@@ -1,11 +1,12 @@
-"""The SABRE-family routing loop: one front-layer search, pluggable SWAP scores.
+"""The SABRE-family routing loop: one front-layer search, pluggable move scores.
 
 SABRE's look-ahead search (the paper's ref. [40]), Qmap's latency-aware
-"looking-back" cost (Section V) and reliability-aware routing over the
-chip's best edges ([45]-[47]) are one search that differs only in how a
-SWAP is scored (Cowtan et al., arXiv 1902.08091, describe routing the
-same way): emit every executable gate of the *front layer*, and when
-none is, apply the best-scoring SWAP on an edge touching a blocked gate.
+"looking-back" cost (Section V), reliability-aware routing over the
+chip's best edges ([45]-[47]) and shuttling on quantum-dot arrays
+(Section VI-C) are one search that differs only in how a move is scored
+(Cowtan et al., arXiv 1902.08091, describe routing the same way): emit
+every executable gate of the *front layer*, and when none is, apply the
+best-scoring move on an edge touching a blocked gate.
 :func:`route_family` runs that loop; each router is a :class:`Policy`.
 
 The loop keeps its per-decision state incrementally.  The placement
@@ -18,10 +19,11 @@ of the pairs on ``pa`` or ``pb``.
 
 The loop runs in the native kernel when it is available
 (:func:`~repro.mapping.routing._astar_native.route_family_native`, one
-crossing per circuit); the Python loop below is its byte-identical
-mirror, and runs when the kernel is disabled or declines the circuit.
-Both produce the emission order, gate indices and SWAPs, and
-:func:`_routed` builds the routed circuit from it.
+crossing per circuit, for sabre, latency and reliability); the Python
+loop below is its byte-identical mirror, and runs when the kernel is
+disabled or declines the circuit (shuttle always).  Both produce the
+emission order, gate indices and moves, and :func:`_routed` builds the
+routed circuit from it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from operator import add
 from ...core.circuit import Circuit
 from ...core.dag import DependencyGraph
 from ...core import gates as G
+from ...core.gates import Gate
 from ...devices.device import Device
 from ...obs import add_counter
 from ...resilience.deadline import current_deadline
@@ -44,10 +47,11 @@ __all__ = ["Policy", "route_family"]
 
 
 class Policy:
-    """How one router of the family picks a SWAP.
+    """How one router of the family picks a move.
 
     ``router`` names its counters and deadline poll; after ``max_stall``
-    SWAPs without an emitted gate the loop forces a shortest-path route.
+    moves without an emitted gate the loop forces a shortest-path route
+    of SWAPs.
     """
 
     router: str
@@ -61,16 +65,23 @@ class Policy:
         return None
 
     def choose(self, candidates: list[tuple[int, int]], terms: "_Terms") -> tuple[int, int]:
-        """The SWAP to apply among ``candidates`` (sorted coupling edges);
-        the loop always applies it."""
+        """The move to apply among ``candidates`` (sorted coupling edges);
+        the loop always applies it.  ``terms.p2h`` is the decision's
+        placement."""
         raise NotImplementedError
+
+    def gate(self, pa: int, pb: int, h2p) -> str:
+        """Name of the gate of the chosen move ``(pa, pb)``; ``h2p[p]`` is
+        the program index (dummies included) on physical ``p`` before it.
+        The SWAPs of a forced route are always ``swap``."""
+        return "swap"
 
     def emitted(self, gate, p2h) -> None:
         """A circuit gate was emitted; ``p2h[q]`` is the physical qubit
         of its operand ``q``."""
 
     def decided(self, pa: int, pb: int) -> None:
-        """A decision ended with the SWAP ``(pa, pb)``, or, when the stall
+        """A decision ended with the move ``(pa, pb)``, or, when the stall
         valve fired, with a forced route of the gate then on ``(pa, pb)``."""
 
 
@@ -85,7 +96,7 @@ def route_family(
     extended_weight: float,
     commutation: bool = False,
 ) -> RoutingResult:
-    """Route ``circuit`` with ``policy`` choosing every SWAP.
+    """Route ``circuit`` with ``policy`` choosing every move.
 
     ``dist`` holds the distance matrix of the score terms, ``lookahead``
     is the size of the look-ahead set and ``extended_weight`` its weight;
@@ -113,7 +124,7 @@ def route_family(
     if run is not None:
         events, scored, decisions = run
         _report(policy.router, scored, decisions, 0)
-        return _routed(circuit, device, initial, events, policy.router)
+        return _routed(circuit, device, initial, events, policy)
 
     # The Python loop: the kernel's reference, operation for operation.
     note_family_python_call()
@@ -124,8 +135,8 @@ def route_family(
     incident = device.incident_edges
     matrix = dist.matrix
 
-    def swap(pa: int, pb: int) -> None:
-        events.append(-1 - (pa * n + pb))
+    def swap(pa: int, pb: int, forced: bool = False) -> None:
+        events.append(-1 - (pa * n + pb) - (n * n if forced else 0))
         a, b = p2h.index(pa), p2h.index(pb)
         p2h[a], p2h[b] = pb, pa
 
@@ -192,7 +203,7 @@ def route_family(
             pa, pb = p2h[a], p2h[b]
             path = device_path(device, pa, pb)
             for step in range(len(path) - 2):
-                swap(path[step], path[step + 1])
+                swap(path[step], path[step + 1], True)
             stall = 0
             forced += 1
         decisions += 1
@@ -200,7 +211,7 @@ def route_family(
         pending = blocked
 
     _report(policy.router, scored, decisions, forced)
-    return _routed(circuit, device, initial, events, policy.router)
+    return _routed(circuit, device, initial, events, policy)
 
 
 def _report(router: str, scored: int, decisions: int, forced: int) -> None:
@@ -211,13 +222,15 @@ def _report(router: str, scored: int, decisions: int, forced: int) -> None:
 
 
 def _routed(
-    circuit: Circuit, device: Device, initial: Placement, events, router: str
+    circuit: Circuit, device: Device, initial: Placement, events, policy: Policy
 ) -> RoutingResult:
     """The routed circuit of an emission order.
 
-    ``events`` lists gate indices of ``circuit`` and SWAPs, each SWAP as
-    ``-1 - (pa * n + pb)`` for physical ``(pa, pb)``; the program-to-
-    physical and physical-to-program arrays follow the SWAPs in step.
+    ``events`` lists gate indices of ``circuit`` and moves on physical
+    ``(pa, pb)``: a chosen move as ``-1 - (pa * n + pb)``, its gate named
+    by ``policy.gate``, and a SWAP of a forced route as that minus
+    ``n * n``.  The program-to-physical and physical-to-program arrays
+    follow the moves in step.
     """
     n = device.num_qubits
     gates = circuit.gates
@@ -227,19 +240,26 @@ def _routed(
         h2p[phys] = prog
     out = Circuit(n, name=circuit.name)
     append = out.append
+    move_gate = policy.gate
     for event in events:
         if event >= 0:
             gate = gates[event]
             append(gate.remap({q: p2h[q] for q in gate.qubits}))
         else:
             pa, pb = divmod(-1 - event, n)
-            append(G.swap(pa, pb))
+            if pa < n:
+                append(Gate(move_gate(pa, pb, h2p), (pa, pb)))
+            else:
+                pa -= n
+                append(G.swap(pa, pb))
             a, b = h2p[pa], h2p[pb]
             p2h[a], p2h[b] = pb, pa
             h2p[pa], h2p[pb] = b, a
-    # Every gate of the circuit was emitted once; the rest are SWAPs.
+    # Every gate of the circuit was emitted once; the rest are moves.
     added = len(out.gates) - len(gates)
-    return RoutingResult(out, initial, Placement(p2h, initial.num_program), added, router)
+    return RoutingResult(
+        out, initial, Placement(p2h, initial.num_program), added, policy.router
+    )
 
 
 class _Terms:
@@ -250,11 +270,11 @@ class _Terms:
     distance.  A SWAP of physical ``(pa, pb)`` changes only the entries
     with an operand on ``pa`` or ``pb``; ``by_phys`` lists them per
     physical qubit, in entry order, as ``(entry, other operand, operand
-    is first)``.
+    is first)``.  ``p2h`` is the placement they were read from.
     """
 
     __slots__ = ("terms", "front_n", "ext_n", "front_base", "ext_base",
-                 "weight", "by_phys", "dist")
+                 "weight", "by_phys", "dist", "p2h")
 
     def __init__(self, pairs, front_n: int, p2h, dist, weight: float) -> None:
         terms = []
@@ -274,6 +294,7 @@ class _Terms:
         self.weight = weight
         self.by_phys = by_phys
         self.dist = dist
+        self.p2h = p2h
 
     def deltas(self, pa: int, pb: int, swapped=None):
         """Change of the (front, look-ahead) sums under the SWAP.
@@ -315,8 +336,8 @@ class _Terms:
         """``(front delta, score)`` with the score re-summed in full.
 
         Each sum runs left to right from ``0.0`` over the swapped terms,
-        front then look-ahead, as :func:`_score` does on the swapped
-        placement; base plus delta can round differently.
+        front then look-ahead, as a full re-score of the swapped placement
+        does; base plus delta can round differently.
         """
         swapped = self.terms[:]
         d_front = self.deltas(pa, pb, swapped)[0]
@@ -350,29 +371,3 @@ def _extended_set(successors, two_qubit, front, limit: int) -> list[int]:
                 if len(extended) >= limit:
                     break
     return extended
-
-
-def _score(
-    blocked,
-    extended: list[int],
-    dag: DependencyGraph,
-    placement: Placement,
-    dist,
-    extended_weight: float,
-) -> float:
-    """Mean front distance plus weighted mean look-ahead distance."""
-    front_cost = 0.0
-    front_n = 0
-    for gate in blocked:
-        if len(gate.qubits) == 2:
-            a, b = gate.qubits
-            front_cost += dist[placement.phys(a)][placement.phys(b)]
-            front_n += 1
-    score = front_cost / max(front_n, 1)
-    if extended:
-        ext_cost = 0.0
-        for index in extended:
-            a, b = dag.gate(index).qubits
-            ext_cost += dist[placement.phys(a)][placement.phys(b)]
-        score += extended_weight * ext_cost / len(extended)
-    return score

@@ -82,7 +82,8 @@ def route_reliability(
 def _weighted(device: Device, model: NoiseModel):
     """Each edge's SWAP error, by edge and in edge order, and the
     error-weighted distances under ``model``, computed once per device
-    and edge errors.
+    and edge errors for this router and
+    :func:`~repro.mapping.placement.noise_aware_placement`.
 
     Both read only the error of each undirected edge, so those errors
     (and their types) key the tables.  The device holds the latest set

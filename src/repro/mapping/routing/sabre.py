@@ -18,7 +18,7 @@ reduces a weighted distance score:
   chip.
 
 The loop itself is :mod:`repro.mapping.routing.family`, shared with the
-latency and reliability routers.
+latency, reliability and shuttle routers.
 """
 
 from __future__ import annotations

@@ -14,18 +14,19 @@ Scoring mirrors SABRE (front-layer distance + weighted look-ahead) with
 the move's own cost added, so the router naturally prefers shuttling
 through sparse regions and falls back to SWAPs in dense ones — exactly
 the "specialized mapper" the paper says dot hardware needs.
+
+The loop itself is :mod:`repro.mapping.routing.family`, shared with the
+sabre, latency and reliability routers.
 """
 
 from __future__ import annotations
 
 from ...core.circuit import Circuit
-from ...core.dag import DependencyGraph
-from ...core import gates as G
-from ...core.gates import Gate
 from ...devices.device import Device
-from ..placement import FREE, Placement
-from .base import RoutingError, RoutingResult, device_path
-from .family import _extended_set, _score
+from ..placement import Placement
+from ._astar_native import hop_distances
+from .base import RoutingResult
+from .family import Policy, route_family
 
 __all__ = ["route_shuttle"]
 
@@ -59,122 +60,56 @@ def route_shuttle(
         shuttles and SWAPs separately (``added_swaps`` counts both, as
         the total routing-move count).
     """
-    can_shuttle = "shuttling" in device.features
-    current = (placement or Placement.trivial(device.num_qubits, circuit.num_qubits)).copy()
-    initial = current.copy()
-    dag = DependencyGraph(circuit)
-    dist = device.distance_matrix
-    two_qubit = [gate.is_two_qubit for gate in circuit.gates]
-
-    done: set[int] = set()
-    front = set(dag.front_layer())
-    out = Circuit(device.num_qubits, name=circuit.name)
-    shuttles = 0
-    swaps = 0
-    stall = 0
-    max_stall = 4 * device.num_qubits * device.num_qubits + 16
-
-    def executable(index: int) -> bool:
-        gate = dag.gate(index)
-        if len(gate.qubits) > 2:
-            raise RoutingError(f"decompose {gate.name} before routing")
-        if len(gate.qubits) == 2 and gate.is_unitary:
-            return device.connected(
-                current.phys(gate.qubits[0]), current.phys(gate.qubits[1])
-            )
-        return True
-
-    def emit(index: int) -> None:
-        gate = dag.gate(index)
-        out.append(gate.remap({q: current.phys(q) for q in gate.qubits}))
-        done.add(index)
-        front.discard(index)
-        for succ in dag.successors(index):
-            if all(p in done for p in dag.predecessors(succ)):
-                front.add(succ)
-
-    def candidate_moves() -> list[tuple[str, int, int, float]]:
-        """(kind, phys_a, phys_b, cost) moves touching a front qubit."""
-        active: set[int] = set()
-        for index in front:
-            gate = dag.gate(index)
-            if len(gate.qubits) == 2:
-                active.add(current.phys(gate.qubits[0]))
-                active.add(current.phys(gate.qubits[1]))
-        moves: list[tuple[str, int, int, float]] = []
-        seen: set[tuple[int, int]] = set()
-        for phys in active:
-            for neighbour in device.neighbours[phys]:
-                key = (min(phys, neighbour), max(phys, neighbour))
-                if key in seen:
-                    continue
-                seen.add(key)
-                neighbour_free = current.prog(neighbour) == FREE
-                phys_free = current.prog(phys) == FREE
-                if can_shuttle and (neighbour_free or phys_free):
-                    moves.append(("shuttle", key[0], key[1], shuttle_cost))
-                else:
-                    moves.append(("swap", key[0], key[1], swap_cost))
-        return moves
-
-    while front:
-        progressed = True
-        while progressed:
-            progressed = False
-            for index in sorted(front):
-                if executable(index):
-                    emit(index)
-                    progressed = True
-                    stall = 0
-        if not front:
-            break
-
-        blocked = [dag.gate(i) for i in sorted(front)]
-        extended = _extended_set(dag.successors, two_qubit, front, lookahead)
-        moves = candidate_moves()
-        if not moves:
-            raise RoutingError("no candidate moves; is the device connected?")
-
-        best = None
-        for kind, pa, pb, cost in moves:
-            current.apply_swap(pa, pb)
-            score = _score(blocked, extended, dag, current, dist, extended_weight)
-            current.apply_swap(pa, pb)
-            key = (score + 0.1 * cost, cost, pa, pb)
-            if best is None or key < best[0]:
-                best = (key, kind, pa, pb)
-
-        assert best is not None
-        _, kind, pa, pb = best
-        if kind == "shuttle":
-            out.append(Gate("shuttle", (pa, pb)))
-            shuttles += 1
-        else:
-            out.append(G.swap(pa, pb))
-            swaps += 1
-        current.apply_swap(pa, pb)
-        stall += 1
-        if stall > max_stall:
-            gate = dag.gate(min(front))
-            path = device_path(
-                device, current.phys(gate.qubits[0]), current.phys(gate.qubits[1])
-            )
-            for step in range(len(path) - 2):
-                out.append(G.swap(path[step], path[step + 1]))
-                current.apply_swap(path[step], path[step + 1])
-                swaps += 1
-            stall = 0
-
-    return RoutingResult(
-        out,
-        initial,
-        current,
-        shuttles + swaps,
-        "shuttle",
-        metadata={
-            "shuttles": shuttles,
-            "swaps": swaps,
-            "move_cost": shuttles * shuttle_cost + swaps * swap_cost,
-            "lookahead": lookahead,
-        },
+    placement = placement or Placement.trivial(device.num_qubits, circuit.num_qubits)
+    result = route_family(
+        circuit, device, placement,
+        _ShuttlePolicy(device, placement.num_program, shuttle_cost, swap_cost),
+        dist=hop_distances(device),
+        lookahead=lookahead,
+        extended_weight=extended_weight,
     )
+    shuttles = result.circuit.count("shuttle") - circuit.count("shuttle")
+    swaps = result.added_swaps - shuttles
+    result.metadata = {
+        "shuttles": shuttles,
+        "swaps": swaps,
+        "move_cost": shuttles * shuttle_cost + swaps * swap_cost,
+        "lookahead": lookahead,
+    }
+    return result
+
+
+class _ShuttlePolicy(Policy):
+    """Distance score plus a tenth of the move's cost, then the cost.
+
+    A move is a shuttle when the device shuttles and one of its sites is
+    free (holds a dummy program index), and a SWAP otherwise.
+    """
+
+    router = "shuttle"
+
+    def __init__(
+        self, device: Device, num_program: int, shuttle_cost: float, swap_cost: float
+    ) -> None:
+        self.max_stall = 4 * device.num_qubits * device.num_qubits + 16
+        self.can_shuttle = "shuttling" in device.features
+        self.num_program = num_program
+        self.shuttle_cost = shuttle_cost
+        self.swap_cost = swap_cost
+
+    def choose(self, candidates, terms):
+        free = set(terms.p2h[self.num_program:]) if self.can_shuttle else ()
+        best = best_key = None
+        for pa, pb in candidates:
+            cost = self.shuttle_cost if pa in free or pb in free else self.swap_cost
+            key = (terms.score(pa, pb) + 0.1 * cost, cost)
+            # Candidates come sorted, so the first minimum wins ties.
+            if best is None or key < best_key:
+                best, best_key = (pa, pb), key
+        return best
+
+    def gate(self, pa, pb, h2p):
+        num_program = self.num_program
+        if self.can_shuttle and (h2p[pa] >= num_program or h2p[pb] >= num_program):
+            return "shuttle"
+        return "swap"

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from repro.core.pipeline import compile_circuit
-from repro.devices import get_device
-from repro.mapping.routing import route_latency, route_reliability, route_sabre
+from repro.devices import get_device, quantum_dot_device
+from repro.mapping.routing import route_latency, route_reliability, route_sabre, route_shuttle
 from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
 from repro.obs import (
     NULL_TRACER,
@@ -285,6 +285,24 @@ class TestPipelineIntegration:
         assert native == after["family_native_calls"] - before["family_native_calls"]
         assert python == after["family_python_calls"] - before["family_python_calls"]
         assert native == (1 if warm_kernel() else 0)
+
+    def test_shuttle_counters(self):
+        # Shuttle has no kernel mirror: every call is a Python family call,
+        # with the family's counters under its own name.
+        circuit = random_circuit(6, 40, seed=9, two_qubit_fraction=0.6)
+        tracer = Tracer()
+        before = kernel_stats()["family_python_calls"]
+        with use_tracer(tracer):
+            result = route_shuttle(circuit, quantum_dot_device(4, 4))
+        counters = tracer.counters()
+        assert counters["family.python_calls"] == 1
+        assert "family.native_calls" not in counters
+        assert kernel_stats()["family_python_calls"] == before + 1
+        moves = result.metadata["shuttles"] + result.metadata["swaps"]
+        assert moves > result.metadata["swaps"] > 0
+        assert "shuttle.forced_routes" not in counters
+        assert counters["shuttle.swap_decisions"] == moves == result.added_swaps
+        assert counters["shuttle.swap_candidates_scored"] > moves
 
     def test_optimizer_counters(self):
         # QX5's native set has ``u``, so the second optimize call fuses.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Circuit
-from repro.devices import grid_device, linear_device
+from repro.devices import grid_device, ibm_qx5, linear_device
 from repro.mapping.placement import (
     FREE,
     PLACERS,
@@ -12,11 +12,15 @@ from repro.mapping.placement import (
     exhaustive_placement,
     get_placer,
     greedy_placement,
+    noise_aware_placement,
     placement_cost,
     random_placement,
     routed_placement,
     trivial_placement,
 )
+from repro.mapping.routing import route_reliability
+from repro.sim.noise import NoiseModel
+from repro.workloads import random_circuit
 
 
 class TestPlacementObject:
@@ -199,3 +203,23 @@ class TestStrategies:
         assert get_placer("greedy") is greedy_placement
         with pytest.raises(KeyError):
             get_placer("magic")
+
+
+def test_noise_aware_placer_shares_the_reliability_table(monkeypatch):
+    # The placer and the reliability router read one weighted-distance
+    # table per device and edge errors: all-pairs Dijkstra runs once.
+    calls = []
+    compute = NoiseModel.weighted_distance_matrix
+
+    def counted(self, device):
+        calls.append(device)
+        return compute(self, device)
+
+    monkeypatch.setattr(NoiseModel, "weighted_distance_matrix", counted)
+    device = ibm_qx5()
+    noise = NoiseModel.with_random_edge_errors(device, seed=3)
+    circuit = random_circuit(6, 30, seed=1, two_qubit_fraction=0.6)
+    first = noise_aware_placement(circuit, device, noise)
+    route_reliability(circuit, device, first, noise=noise)
+    assert noise_aware_placement(circuit, device, noise) == first
+    assert len(calls) == 1

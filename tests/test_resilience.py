@@ -8,12 +8,14 @@ import pytest
 
 from repro.core import Circuit
 from repro.core.pipeline import PassConfig, compile_with_config, fallback_chain
-from repro.devices import get_device, grid_device
+from repro.devices import get_device, grid_device, linear_device, quantum_dot_device
 from repro.mapping.routing import (
     route_astar,
+    route_exact,
     route_latency,
     route_reliability,
     route_sabre,
+    route_shuttle,
 )
 from repro.mapping.routing._astar_native import kernel_stats, warm_kernel
 from repro.resilience import (
@@ -346,6 +348,18 @@ class TestDeadlineHonoured:
         circuit = random_circuit(100, 3000, seed=7, two_qubit_fraction=0.9)
         return circuit, grid_device(10, 10)
 
+    @staticmethod
+    def _python_input(router):
+        # Routers with no kernel, on inputs each takes many budgets on
+        # unbounded: shuttle ~2.5 s on a dot array with free sites, exact
+        # several seconds on a line.
+        if router == "shuttle":
+            return (
+                random_circuit(30, 600, seed=7, two_qubit_fraction=0.9),
+                quantum_dot_device(8, 8),
+            )
+        return random_circuit(8, 40, seed=3, two_qubit_fraction=0.3), linear_device(8)
+
     def _route_under_deadline(self, router_fn, circuit=None, device=None):
         if circuit is None:
             # Big enough that unbounded A* takes well over the budget.
@@ -391,6 +405,31 @@ class TestDeadlineHonoured:
         # Unbounded, either router takes several budgets on this circuit;
         # it must abort, and sabre after it, so naive answers.
         circuit, device = self._family_input()
+        gc.collect()
+        result = compile_with_config(
+            circuit, device, PassConfig(router=router),
+            deadline=Deadline.after(self.BUDGET),
+        )
+        info = result.metadata["resilience"]
+        assert info["degraded"] is True
+        assert info["fallback_path"] == [router, "sabre", "naive"]
+        assert [f["kind"] for f in info["failures"]] == ["deadline", "deadline"]
+
+    def test_shuttle_aborts_within_twice_the_budget(self):
+        # Shuttle has no kernel mirror: the warm-up route and the timed one
+        # both run the family's Python loop, which polls per decision.
+        before = kernel_stats()["family_python_calls"]
+        seconds = self._route_under_deadline(route_shuttle, *self._python_input("shuttle"))
+        assert seconds < 2 * self.BUDGET
+        assert kernel_stats()["family_python_calls"] == before + 2
+
+    def test_exact_aborts_within_twice_the_budget(self):
+        seconds = self._route_under_deadline(route_exact, *self._python_input("exact"))
+        assert seconds < 2 * self.BUDGET
+
+    @pytest.mark.parametrize("router", ["shuttle", "exact"])
+    def test_python_router_degrades_through_sabre_to_naive(self, router):
+        circuit, device = self._python_input(router)
         gc.collect()
         result = compile_with_config(
             circuit, device, PassConfig(router=router),

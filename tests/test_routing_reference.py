@@ -1,13 +1,13 @@
 """The SABRE-family routers against copies of the loops they replaced.
 
-:func:`repro.mapping.routing.family.route_family` runs sabre, latency
-and reliability as scoring policies over one front-layer loop that keeps
-its state incrementally: after an emission pass it re-checks only the
-gates that pass made ready, it reuses the look-ahead set until a gate is
-emitted, it scores candidates from flat per-decision terms, and it
-re-sums the reliability objective from those terms instead of applying
-and reverting every candidate SWAP.  :mod:`tests.routing_reference`
-holds the three earlier loops.
+:func:`repro.mapping.routing.family.route_family` runs sabre, latency,
+reliability and shuttle as scoring policies over one front-layer loop
+that keeps its state incrementally: after an emission pass it re-checks
+only the gates that pass made ready, it reuses the look-ahead set until
+a gate is emitted, it scores candidates from flat per-decision terms,
+and it re-sums the reliability objective from those terms instead of
+applying and reverting every candidate SWAP.
+:mod:`tests.routing_reference` holds the four earlier loops.
 
 On random circuits (conditioned gates, barriers, measurements and the
 odd three-qubit gate included), random placements on five devices, and
@@ -27,6 +27,11 @@ are not symmetric to the last bit; and edge errors of three levels,
 asymmetric and full of exact ties, where a lookup in the wrong order or
 a sum in the wrong order changes a choice.
 
+The shuttle router routes quantum-dot arrays with free sites and
+devices without shuttling, with move costs that include negative ones
+and 50: those cycle into forced routes, whose SWAPs stay SWAPs even
+where they touch a free site.
+
 Every call to the new loop runs under a generous deadline, so a loop
 that stops making progress fails instead of hanging.  With the native
 kernel available, the examples it accepts must have taken it.
@@ -41,10 +46,14 @@ from hypothesis import strategies as st
 
 from repro.core import Circuit
 from repro.core.gates import Gate
-from repro.devices import grid_device, heavy_hex_device, ibm_qx5, linear_device, surface17
+from repro.devices import (
+    Device, grid_device, heavy_hex_device, ibm_qx5, linear_device,
+    quantum_dot_device, surface17,
+)
 from repro.mapping.placement import Placement
-from repro.mapping.routing import route_latency, route_reliability, route_sabre
+from repro.mapping.routing import route_latency, route_reliability, route_sabre, route_shuttle
 from repro.mapping.routing._astar_native import warm_kernel
+from repro.mapping.routing.base import RoutingError
 from repro.obs import Tracer, use_tracer
 from repro.resilience import Deadline, use_deadline
 from repro.sim.noise import NoiseModel
@@ -74,6 +83,12 @@ _DEVICES = {
 #: Devices small enough for the forced route: each one takes
 #: ``4 n^2 + 16`` cycling decisions first.
 _SMALL = ["qx5", "surface17", "grid44", "linear9"]
+#: Quantum-dot arrays, which shuttle into free sites.
+_DOTS = {
+    "dots23": quantum_dot_device(2, 3),
+    "dots34": quantum_dot_device(3, 4),
+    "dots44": quantum_dot_device(4, 4),
+}
 _ONE_QUBIT = ["h", "x", "t", "rz", "measure", "prep_z"]
 _TWO_QUBIT = ["cnot", "cnot", "cz", "swap", "cp"]
 
@@ -123,7 +138,7 @@ def problems(draw, devices=tuple(_DEVICES), max_gates: int = 40):
     """A device, a circuit on at most 12 of its qubits, and a placement
     (``None`` for the trivial one)."""
     name = draw(st.sampled_from(devices))
-    device = _DEVICES[name]
+    device = _DEVICES[name] if name in _DEVICES else _DOTS[name]
     num_qubits = draw(st.integers(1, min(12, device.num_qubits)))
     if num_qubits >= 2 and draw(st.booleans()):
         circuit = draw(dense_circuits(num_qubits, max_gates))
@@ -322,3 +337,58 @@ def test_weighted_distances_are_asymmetric():
             dist[a][b] != dist[b][a]
             for a in range(device.num_qubits) for b in range(a)
         ), name
+
+
+#: Shuttle's own wording for a blocked gate with no coupling edge, where
+#: the family loop says "swaps".
+_NO_MOVES = "no candidate moves; is the device connected?"
+
+
+@given(
+    problems((*_DOTS, "grid44", "linear9", "qx5"), max_gates=30),
+    st.sampled_from([0, 1, 20]),
+    st.sampled_from([0.5, 0.0, 1.5]),
+    st.sampled_from([1.0, 0.5, -1.0, 50]),
+    st.sampled_from([3.0, 1, -2.0, 50]),
+)
+@settings(**_SETTINGS)
+@example(
+    # Shuttling into a free site and back beats any SWAP until the stall
+    # valve fires; the forced route's SWAPs then cross free sites.
+    ("dots23", _DOTS["dots23"], Circuit(3).cnot(2, 0), None), 0, 0.5, 1.0, 50,
+)
+@example(
+    ("dots44", _DOTS["dots44"],
+     random_circuit(7, 30, seed=4, two_qubit_fraction=0.8), None),
+    1, 1.5, 50, -2.0,
+)
+def test_shuttle_routes_as_before(problem, lookahead, weight, shuttle_cost, swap_cost):
+    _, device, circuit, placement = problem
+    options = dict(lookahead=lookahead, extended_weight=weight,
+                   shuttle_cost=shuttle_cost, swap_cost=swap_cost)
+    expected = _outcome(reference.route_shuttle, circuit, device, placement, **options)
+    counters: dict = {}
+    actual = _outcome(
+        route_shuttle, circuit, device, placement, Deadline.after(_BUDGET_S),
+        counters, **options,
+    )
+    # Every device here is connected, so the one wording difference
+    # (test_shuttle_no_candidate_wording) cannot show.
+    assert expected[:3] != ("raised", RoutingError, _NO_MOVES)
+    assert actual == expected
+    if actual[0] == "routed":
+        # Shuttle has no kernel mirror: the Python loop routes it.
+        assert counters.get("family.python_calls") == 1, counters
+
+
+def test_shuttle_no_candidate_wording():
+    # A deliberate difference: a blocked gate whose qubits have no
+    # coupling edge now raises the family loop's "no candidate swaps".
+    device = Device("split", 4, [(0, 1)], ["h", "cnot"], features=["shuttling"])
+    circuit = Circuit(4).cnot(2, 3)
+    assert _outcome(reference.route_shuttle, circuit, device, None) == (
+        "raised", RoutingError, _NO_MOVES,
+    )
+    assert _outcome(route_shuttle, circuit, device, None) == (
+        "raised", RoutingError, "no candidate swaps; is the device connected?",
+    )
