@@ -32,6 +32,7 @@ from typing import Sequence
 
 from ..core.circuit import Circuit
 from ..devices.device import Device
+from ..obs import add_counter
 
 __all__ = [
     "Placement",
@@ -205,26 +206,29 @@ def _pairs_cost(pairs, device: Device, placement: Placement,
     the same ``Counter`` keeps the float summation order unchanged.
     """
     total = 0.0
+    p2h = placement._p2h
     if distance_matrix is None:
+        dist = device.distance_matrix
         for (a, b), weight in pairs.items():
-            d = device.distance(placement.phys(a), placement.phys(b))
-            total += weight * max(0, d - 1)
+            d = dist[p2h[a]][p2h[b]]
+            total += weight * (d - 1 if d > 1 else 0)
     else:
         for (a, b), weight in pairs.items():
-            total += weight * distance_matrix[placement.phys(a)][placement.phys(b)]
+            total += weight * distance_matrix[p2h[a]][p2h[b]]
     return total
 
 
-def _partners(circuit: Circuit, size: int) -> list[list[tuple[int, int]]]:
+def _partners(pairs, size: int) -> list[list[tuple[int, int]]]:
     """Interaction partners ``[(other, weight)]`` of program indices
-    ``0 .. size - 1``, in :meth:`Circuit.interaction_pairs` order.
+    ``0 .. size - 1``, in the order of ``pairs``, a circuit's
+    :meth:`Circuit.interaction_pairs` histogram.
 
     With ``size`` the device's qubit count every slot of a placement has
     an entry: dummies (and program qubits without two-qubit gates) get
     an empty list.
     """
     partners: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for (a, b), weight in circuit.interaction_pairs().items():
+    for (a, b), weight in pairs.items():
         partners[a].append((b, weight))
         partners[b].append((a, weight))
     return partners
@@ -275,6 +279,16 @@ def noise_aware_placement(
 
     Args:
         noise: A :class:`repro.sim.noise.NoiseModel` with per-edge errors.
+
+    Each trial exchange re-sums the float objective over the ``E``
+    distinct interacting pairs, in histogram order, so a trial costs
+    O(E).  An exchange of two positions that both hold indices without
+    partners (free qubits, idle program qubits) moves no pair: its
+    re-sum would return exactly ``best`` and the exchange would be
+    reverted, so it is skipped.  A round therefore re-sums O(k * m)
+    times for ``k`` interacting program qubits on ``m`` physical ones,
+    instead of m(m-1)/2, with the same placement.  The re-sums of a
+    call are reported as the ``noise_aware.resums`` counter.
     """
     # The reliability router's weighted distances, held on the device
     # (imported here: the routers import this module).
@@ -282,16 +296,22 @@ def noise_aware_placement(
 
     _, _, weighted = _weighted(device, noise)
     matrix = weighted.matrix
-    placement = greedy_placement(circuit, device)
     pairs = circuit.interaction_pairs()
+    placement = _greedy(circuit, device, pairs)
     best = _pairs_cost(pairs, device, placement, matrix)
     m = device.num_qubits
+    partners = _partners(pairs, m)
+    h2p = placement._h2p
+    resums = 0
     for _ in range(max_rounds):
         improved = False
         for a in range(m):
             for b in range(a + 1, m):
+                if not (partners[h2p[a]] or partners[h2p[b]]):
+                    continue
                 placement.apply_swap(a, b)
                 cost = _pairs_cost(pairs, device, placement, matrix)
+                resums += 1
                 if cost < best - 1e-12:
                     best = cost
                     improved = True
@@ -299,6 +319,7 @@ def noise_aware_placement(
                     placement.apply_swap(a, b)
         if not improved:
             break
+    add_counter("noise_aware.resums", resums)
     return placement
 
 
@@ -330,34 +351,58 @@ def greedy_placement(circuit: Circuit, device: Device) -> Placement:
     interaction to already-placed ones and puts it on the free physical
     qubit minimising the weighted distance to its placed partners —
     seeding with the busiest program qubit on the best-connected physical
-    qubit.
+    qubit.  Ties go to the higher-degree physical qubit, then the lower
+    index.
+
+    Each program qubit scores every physical qubit at once, one pass
+    over a distance row per placed partner, so placing ``n`` program
+    qubits with ``P`` placed partners in all costs O(m * (n + P)) list
+    steps on ``m`` physical qubits.
+    """
+    return _greedy(circuit, device, circuit.interaction_pairs())
+
+
+def _greedy(circuit: Circuit, device: Device, pairs) -> Placement:
+    """:func:`greedy_placement` over ``circuit``'s interaction histogram
+    ``pairs``, for placers that need the histogram themselves.
+
+    A physical qubit's score is packed into one ``int`` key: the weighted
+    distance times ``scale``, plus its tie-break (higher degree, then
+    lower index) below ``scale``, so ``min`` of the keys picks the least
+    ``(cost, -degree, phys)`` and ``key % m`` is the qubit.  The distance to a partner on ``o`` is read from row
+    ``o``: hop counts on the undirected coupling graph are symmetric.
+    Hop counts and weights are ``int``, so every sum is exact.  A placed
+    qubit's key becomes ``inf`` and ``min`` never picks it.
     """
     _check_fits(circuit, device)
     n, m = circuit.num_qubits, device.num_qubits
-    partners = _partners(circuit, n)
+    partners = _partners(pairs, n)
     strength = [sum(w for _, w in partners[q]) for q in range(n)]
 
     order = sorted(range(n), key=lambda q: -strength[q])
     degree = [len(device.neighbours[p]) for p in range(m)]
+    dist = device.distance_matrix
+    top = max(degree, default=0)
+    scale = (top + 1) * m
+    tie = [(top - d) * m + p for p, d in enumerate(degree)]
+    # Isolated qubits score -degree: prefer well-connected spots.
+    isolated = [t - d * scale for t, d in zip(tie, degree)]
+    inf = float("inf")
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
     for prog in order:
-        placed_partners = [(mapping[o], w) for o, w in partners[prog] if o in mapping]
-        best_phys, best_cost = None, None
-        for phys in range(m):
-            if phys in used:
-                continue
-            if placed_partners:
-                cost = sum(w * device.distance(phys, o) for o, w in placed_partners)
-            else:
-                cost = -degree[phys]  # isolated: prefer well-connected spots
-            tie = (cost, -degree[phys], phys)
-            if best_cost is None or tie < best_cost:
-                best_cost, best_phys = tie, phys
-        assert best_phys is not None
+        keys = None
+        for other, weight in partners[prog]:
+            phys = mapping.get(other)
+            if phys is not None:
+                step = weight * scale
+                keys = [
+                    k + step * d
+                    for k, d in zip(tie if keys is None else keys, dist[phys])
+                ]
+        best_phys = min(isolated if keys is None else keys) % m
         mapping[prog] = best_phys
-        used.add(best_phys)
+        tie[best_phys] = isolated[best_phys] = inf
 
     return Placement.from_partial(mapping, n, m)
 
@@ -380,27 +425,75 @@ def assignment_placement(
     ``E`` distinct interacting pairs, instead of O(m^2 * G) for re-summing
     ``G`` gates per trial, and visits and accepts exchanges in the same
     order as the full re-sum, so the placement is the same.
+
+    The climb runs in the native kernel
+    (:func:`~repro.mapping.routing._astar_native.assignment_climb_native`,
+    one crossing per call), and in :func:`_exchange_climb`, its Python
+    mirror, when the kernel is off or declines the input.  The greedy
+    seed, the objective and the partner lists are built once per call
+    from one interaction histogram.  Counters: ``placement.native_calls``
+    or ``placement.python_calls``, then ``assignment.exchanges_scored``,
+    ``assignment.exchanges_applied`` and ``assignment.rounds``, equal on
+    both paths.
     """
-    placement = greedy_placement(circuit, device)
-    best = placement_cost(circuit, device, placement)
-    m = device.num_qubits
-    partners = _partners(circuit, m)
-    dist = device.distance_matrix
+    # Imported here: the routers import this module.
+    from .routing._astar_native import (
+        assignment_climb_native,
+        note_placement_python_call,
+    )
+
+    pairs = circuit.interaction_pairs()
+    placement = _greedy(circuit, device, pairs)
+    best = _pairs_cost(pairs, device, placement)
+    partners = _partners(pairs, device.num_qubits)
+    climbed = assignment_climb_native(
+        device, partners, placement._p2h, placement._h2p, best, max_rounds
+    )
+    if climbed is None:
+        note_placement_python_call()
+        climbed = _exchange_climb(
+            partners, device.distance_matrix, placement, best, max_rounds
+        )
+    _, scored, applied, rounds = climbed
+    add_counter("assignment.exchanges_scored", scored)
+    add_counter("assignment.exchanges_applied", applied)
+    add_counter("assignment.rounds", rounds)
+    return placement
+
+
+def _exchange_climb(partners, dist, placement: Placement, best, max_rounds: int):
+    """The pairwise-exchange climb of :func:`assignment_placement`, in
+    Python: the reference the native kernel mirrors.
+
+    Rounds visit every physical pair ``a < b`` in ascending order, skip
+    pairs whose two indices have no partners, and apply each exchange
+    whose :func:`_exchange_delta` is negative; the climb stops after
+    ``max_rounds`` rounds, a round without an exchange, or a round that
+    ends with ``best`` at 0.  ``placement`` is updated in place.
+
+    Returns:
+        ``(best, exchanges scored, exchanges applied, rounds)``.
+    """
+    m = placement.num_physical
     p2h, h2p = placement._p2h, placement._h2p
+    scored = applied = rounds = 0
     for _ in range(max_rounds):
+        rounds += 1
         improved = False
         for a in range(m):
             for b in range(a + 1, m):
                 if not (partners[h2p[a]] or partners[h2p[b]]):
                     continue
                 delta = _exchange_delta(partners, dist, p2h, h2p, a, b)
+                scored += 1
                 if delta < 0:
                     placement.apply_swap(a, b)
                     best += delta
+                    applied += 1
                     improved = True
         if not improved or best == 0:
             break
-    return placement
+    return best, scored, applied, rounds
 
 
 def annealing_placement(
@@ -440,8 +533,9 @@ def annealing_placement(
     import math as _math
 
     rng = random.Random(seed)
-    placement = greedy_placement(circuit, device)
-    current_cost = placement_cost(circuit, device, placement)
+    pairs = circuit.interaction_pairs()
+    placement = _greedy(circuit, device, pairs)
+    current_cost = _pairs_cost(pairs, device, placement)
     best = placement.copy()
     best_cost = current_cost
     m = device.num_qubits
@@ -449,7 +543,7 @@ def annealing_placement(
         return best
     decay = (1e-3) ** (1.0 / steps)
     temperature = initial_temperature
-    partners = _partners(circuit, m)
+    partners = _partners(pairs, m)
     dist = device.distance_matrix
     p2h, h2p = placement._p2h, placement._h2p
 

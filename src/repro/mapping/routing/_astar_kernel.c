@@ -1,6 +1,7 @@
-/* Native routing kernels: A* layer search and the SABRE-family loop.
+/* Native mapping kernels: A* layer search, the SABRE-family loop and
+ * the assignment placer's exchange climb.
  *
- * Mirrors of the pure-Python routers, compiled on demand by
+ * Mirrors of the pure-Python routers and placer, compiled on demand by
  * `_astar_native.py` (`cc -O2 -ffp-contract=off -shared`; no build
  * system, no third-party dependency).  Each entry point must stay
  * semantically identical to its Python reference: the same state, the
@@ -14,9 +15,9 @@
  * and falls back transparently, so this file is an accelerator, never a
  * behaviour change.
  *
- * Both entry points take a relative time budget in seconds (`INFINITY`
- * for none), turn it into a stop time on their own monotonic clock at
- * entry, and return -4 once it has passed.
+ * Both routing entry points take a relative time budget in seconds
+ * (`INFINITY` for none), turn it into a stop time on their own monotonic
+ * clock at entry, and return -4 once it has passed.
  *
  * `solve_layers_batch` mirrors `_astar_impl.py`: every layer of one A*
  * call in a single crossing, with the per-layer preprocessing and the
@@ -41,6 +42,15 @@
  * exhausted, -5 the stall valve fired or no candidate SWAP exists (the
  * caller reruns the Python loop, which force-routes or raises), -6 the
  * event buffer is full (the caller grows it and calls again).
+ *
+ * `assignment_climb` mirrors the pairwise-exchange climb of
+ * `placement.assignment_placement`: the rounds over all physical pairs
+ * of one placement in a single crossing, on the int32 hop table the A*
+ * kernel reads.  Its sums are integers (weights and hop counts), so they
+ * are exact and their order does not matter; the wrapper declines
+ * inputs whose sums could leave +-2^53, where Python's float objective
+ * would round.  Return codes: 0 done, -5 the objective left +-2^53 (the
+ * caller runs the Python climb).
  */
 
 #include <stdint.h>
@@ -1079,4 +1089,87 @@ cleanup:
     free(h2p); free(adj); free(qmask); free(emask); free(cand); free(decay);
     free(gbuf); free(tbuf);
     return rc;
+}
+
+/* ---- entry point: the assignment placer's exchange climb ----
+ *
+ * Mirrors the pairwise-exchange climb of `placement.assignment_placement`
+ * (`_exchange_climb`): rounds of every physical pair a < b, ascending a
+ * then ascending b, skipping a pair when neither position holds a
+ * program index with interaction partners, accepting an exchange when
+ * its exact change of the hop-count objective is negative, and stopping
+ * after a round without an acceptance or with the objective at 0.
+ * `dist` is the m x m hop table; the partners of program index x are
+ * part_idx[part_start[x] .. part_start[x + 1]) with weights part_w.
+ * `p2h` / `h2p` are the placement's program->physical and
+ * physical->program permutations (m entries each) and are updated in
+ * place.  `best` is the objective of the starting placement.  The
+ * caller bounds every delta by 2^53 (hop span times the summed weights),
+ * so the int64 sums are exact and equal Python's; `best` is kept within
+ * 2^53 too, where the Python climb's float is exact.  `out` receives the
+ * final objective, the exchanges scored, the exchanges applied and the
+ * rounds run.  Return codes: 0 done, -5 `best` left +-2^53 (the caller
+ * discards the arrays and runs the Python climb).
+ */
+
+int64_t assignment_climb(
+    int32_t m, const int32_t *dist,
+    const int32_t *part_start, const int32_t *part_idx, const int64_t *part_w,
+    int32_t *p2h, int32_t *h2p,
+    int64_t best, int64_t max_rounds, int64_t *out)
+{
+    const int64_t limit = (int64_t)1 << 53;
+    int64_t scored = 0, applied = 0, rounds = 0;
+    for (int64_t r = 0; r < max_rounds; r++) {
+        int improved = 0;
+        rounds++;
+        for (int32_t a = 0; a < m; a++) {
+            const int32_t *row_a = dist + (int64_t)a * m;
+            for (int32_t b = a + 1; b < m; b++) {
+                int32_t pa = h2p[a], pb = h2p[b];
+                int32_t a0 = part_start[pa], a1 = part_start[pa + 1];
+                int32_t b0 = part_start[pb], b1 = part_start[pb + 1];
+                if (a0 == a1 && b0 == b1)
+                    continue;
+                /* `_exchange_delta`: only pairs touching pa or pb move,
+                 * and the pair joining them keeps its distance. */
+                const int32_t *row_b = dist + (int64_t)b * m;
+                int64_t delta = 0;
+                for (int32_t k = a0; k < a1; k++) {
+                    int32_t other = part_idx[k];
+                    if (other != pb) {
+                        int32_t q = p2h[other];
+                        delta += part_w[k] * ((int64_t)row_b[q] - row_a[q]);
+                    }
+                }
+                for (int32_t k = b0; k < b1; k++) {
+                    int32_t other = part_idx[k];
+                    if (other != pa) {
+                        int32_t q = p2h[other];
+                        delta += part_w[k] * ((int64_t)row_a[q] - row_b[q]);
+                    }
+                }
+                scored++;
+                if (delta < 0) {
+                    /* `Placement.apply_swap(a, b)`. */
+                    h2p[a] = pb;
+                    h2p[b] = pa;
+                    p2h[pa] = b;
+                    p2h[pb] = a;
+                    best += delta;
+                    applied++;
+                    improved = 1;
+                    if (best > limit || best < -limit)
+                        return -5;
+                }
+            }
+        }
+        if (!improved || best == 0)
+            break;
+    }
+    out[0] = best;
+    out[1] = scored;
+    out[2] = applied;
+    out[3] = rounds;
+    return 0;
 }

@@ -1,15 +1,17 @@
-"""On-demand compilation and invocation of the native routing kernels.
+"""On-demand compilation and invocation of the native mapping kernels.
 
 Compiles ``_astar_kernel.c`` with the system C compiler the first time
-a router needs it, caching the shared object under the user's temp
-directory keyed by a hash of the source and the compiler flags.
-Everything is best-effort: no compiler, a failed build, or an input the
-kernel declines simply returns ``None`` and the caller runs its
-pure-Python loop, which is the reference implementation.  The kernels
-replicate the Python code operation for operation (see the header
-comment of the C file), so both paths produce identical routes.
+a router or the assignment placer needs it, caching the shared object
+under the user's temp directory keyed by a hash of the source and the
+compiler flags.  Everything is best-effort: no compiler, a failed build,
+or an input the kernel declines simply returns ``None`` and the caller
+runs its pure-Python loop, which is the reference implementation.  The
+kernels replicate the Python code operation for operation (see the
+header comment of the C file), so both paths produce identical routes
+and placements.
 
-Two entry points are exposed, one native crossing per routed circuit:
+Three entry points are exposed, one native crossing per routed circuit
+or placement:
 
 * :func:`solve_layers_batch_native` routes every A* layer of a circuit.
   Its return codes are ``-1`` (search exhausted) and ``-2`` (expansion
@@ -23,8 +25,15 @@ Two entry points are exposed, one native crossing per routed circuit:
   :class:`RoutingError`; ``-6`` (event buffer full) grows the buffer
   4x and calls again.  Shuttle, the family's fourth policy, has no
   mirror.
+* :func:`assignment_climb_native` runs the pairwise-exchange climb of
+  :func:`repro.mapping.placement.assignment_placement` on the int32 hop
+  table and updates the placement in place.  It declines (``None``, the
+  Python climb runs) when the kernel is off, the hop table is not
+  int32, a weight is not an ``int``, or a sum could leave ``2**53``;
+  ``-5`` (the objective left that range mid-climb) does the same on the
+  untouched placement.
 
-Both honour a cooperative
+The two routing entry points honour a cooperative
 :class:`~repro.resilience.deadline.Deadline`: the kernel gets the time
 left and returns ``-4`` once it is used up, which surfaces as
 :class:`~repro.resilience.deadline.DeadlineExceeded`, never as a rerun
@@ -33,8 +42,8 @@ and as doubles) are built once per :class:`~repro.devices.device.Device`
 and held in its ``routing_tables``, as ``array.array`` objects, so a
 device still pickles.
 
-Set the environment variable ``REPRO_NO_NATIVE=1`` to disable both
-native paths (useful to benchmark or debug the Python loops).
+Set the environment variable ``REPRO_NO_NATIVE=1`` to disable every
+native path (useful to benchmark or debug the Python loops).
 """
 
 from __future__ import annotations
@@ -55,9 +64,11 @@ from .base import RoutingError
 
 __all__ = [
     "Distances",
+    "assignment_climb_native",
     "hop_distances",
     "kernel_stats",
     "note_family_python_call",
+    "note_placement_python_call",
     "note_python_layer",
     "route_family_native",
     "solve_layers_batch_native",
@@ -92,6 +103,10 @@ _batch_calls = 0
 #: loop; every call counts once, in exactly one of them.
 _family_native_calls = 0
 _family_python_calls = 0
+#: ``assignment_placement`` climbs run by the kernel vs by the Python
+#: loop; every call counts once, in exactly one of them.
+_placement_native_calls = 0
+_placement_python_calls = 0
 
 
 def _build_library():
@@ -165,6 +180,13 @@ def _build_library():
         ctypes.c_double,        # budget_s (inf: no deadline)
         p32, i64, p64,          # events, max_events, counts
     ]
+    lib.assignment_climb.restype = i64
+    lib.assignment_climb.argtypes = [
+        i32, p32,               # m, dist (m * m hop counts)
+        p32, p32, p64,          # part_start, part_idx, part_w
+        p32, p32,               # p2h, h2p (updated in place)
+        i64, i64, p64,          # best, max_rounds, out
+    ]
     return lib
 
 
@@ -202,10 +224,11 @@ def kernel_stats() -> dict:
     path; ``resolved`` says the tri-state was settled (either way);
     ``available`` says the native kernel is loaded and not disabled.  The
     remaining keys count actual kernel usage: A* layers solved natively
-    vs. by the Python reference loop, whole-circuit A* batch calls, and
-    SABRE-family calls routed by the kernel vs by the Python loop.
+    vs. by the Python reference loop, whole-circuit A* batch calls,
+    SABRE-family calls routed by the kernel vs by the Python loop, and
+    assignment placements climbed by the kernel vs by the Python loop.
     Pool workers ship these to the parent so services can report how
-    much routing work ran on the native path.
+    much mapping work ran on the native path.
     """
     return {
         "resolved": _lib_resolved,
@@ -216,6 +239,8 @@ def kernel_stats() -> dict:
         "batch_calls": _batch_calls,
         "family_native_calls": _family_native_calls,
         "family_python_calls": _family_python_calls,
+        "placement_native_calls": _placement_native_calls,
+        "placement_python_calls": _placement_python_calls,
     }
 
 
@@ -230,6 +255,13 @@ def note_family_python_call() -> None:
     global _family_python_calls
     _family_python_calls += 1
     add_counter("family.python_calls", 1)
+
+
+def note_placement_python_call() -> None:
+    """Record one ``assignment_placement`` climb run by the Python loop."""
+    global _placement_python_calls
+    _placement_python_calls += 1
+    add_counter("placement.python_calls", 1)
 
 
 # ----------------------------------------------------------------------
@@ -605,3 +637,101 @@ def route_family_native(
     if avail is not None:
         avail[:] = scratch_avail
     return events[:rc], counts[0], counts[1]
+
+
+# ----------------------------------------------------------------------
+# Assignment placement: the exchange climb
+# ----------------------------------------------------------------------
+
+#: Bound on every sum of the climb.  An integer within it is exact as a
+#: double, so the kernel's int64 objective equals the Python climb's
+#: float, and no int64 sum can overflow.
+_CLIMB_BOUND = 2**53
+
+
+def _hop_span(device, hops: array) -> int:
+    """The largest difference of two entries of ``hops``, held on the
+    device: it bounds how far one partner's distance can move."""
+    tables = device.routing_tables
+    span = tables.get("hop_span")
+    if span is None:
+        span = tables["hop_span"] = max(hops) - min(hops) if hops else 0
+    return span
+
+
+def assignment_climb_native(device, partners, p2h, h2p, best, max_rounds):
+    """Run the pairwise-exchange climb of one placement in a single
+    native crossing.
+
+    Args:
+        device: Target device; the kernel reads its int32 hop table
+            (:func:`_hops32`, held in ``device.routing_tables``).
+        partners: Per program index, dummies included, its interaction
+            partners ``[(other, weight)]``.
+        p2h, h2p: The placement's program->physical and
+            physical->program lists (a permutation each); updated in
+            place when the kernel climbs, untouched otherwise.
+        best: The objective of the starting placement, an integral
+            ``int`` or ``float``.
+        max_rounds: Round limit, an ``int``.
+
+    Returns:
+        ``(best, exchanges scored, exchanges applied, rounds)``, with the
+        same values as the Python climb, or ``None`` when the Python
+        climb must run: no kernel, no int32 hop table, sizes other than
+        the device's, an index outside them, a weight that is not an
+        ``int``, a non-integral
+        ``best``, or a sum that could leave ``2**53`` (hop span times
+        the summed weights, or ``best`` itself, or the objective during
+        the climb).
+    """
+    global _placement_native_calls
+    lib = _get_lib()
+    if lib is None:
+        return None
+    hops = _hops32(device)
+    if hops is None:
+        return None
+    m = device.num_qubits
+    if len(partners) != m or len(p2h) != m or len(h2p) != m:
+        return None
+    if type(max_rounds) is not int:
+        return None
+    if type(best) is float and best.is_integer():
+        best = int(best)
+    elif type(best) is not int:
+        return None
+    others = [other for row in partners for other, _ in row]
+    weights = [weight for row in partners for _, weight in row]
+    if any(type(w) is not int for w in weights):
+        return None
+    if others and not 0 <= min(others) <= max(others) < m:
+        return None
+    bound = _CLIMB_BOUND
+    if abs(best) > bound or _hop_span(device, hops) * sum(map(abs, weights)) > bound:
+        return None
+    scratch_p2h = array("i", p2h)
+    scratch_h2p = array("i", h2p)
+    # The kernel indexes with these without bounds checks.
+    if m and not (
+        0 <= min(scratch_p2h) and max(scratch_p2h) < m
+        and 0 <= min(scratch_h2p) and max(scratch_h2p) < m
+    ):
+        return None
+    start = array("i", accumulate(map(len, partners), initial=0))
+    idx = array("i", others)
+    part_w = array("q", weights)
+    out = array("q", [0, 0, 0, 0])
+    rc = lib.assignment_climb(
+        m, _view(_i32, hops),
+        _view(_i32, start), _view(_i32, idx), _view(_i64, part_w),
+        _view(_i32, scratch_p2h), _view(_i32, scratch_h2p),
+        best, min(max(max_rounds, 0), 2**62), _view(_i64, out),
+    )
+    if rc < 0:
+        return None
+    p2h[:] = scratch_p2h
+    h2p[:] = scratch_h2p
+    _placement_native_calls += 1
+    add_counter("placement.native_calls", 1)
+    return out[0], out[1], out[2], out[3]

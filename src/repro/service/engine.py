@@ -53,7 +53,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from typing import Callable, Iterable, Sequence
 
@@ -77,6 +77,7 @@ from .artifact import (
 )
 from .cache import CacheStageStore, CompileCache, _json_copy
 from .jobs import CompileJob, JobResult
+from .keys import canonical_json
 from .pool import WarmPool
 
 __all__ = ["CompileService", "run_payload"]
@@ -86,6 +87,31 @@ _POLL_INTERVAL = 0.02
 
 #: Upper bound on dispatch chunk size (load balance beats IPC savings).
 _MAX_CHUNK = 8
+
+#: The devices of this process's jobs, one per distinct device dict
+#: (keyed on its canonical JSON), least recently used first.  A
+#: :class:`Device` holds its hop matrix and routing tables, so jobs on
+#: the same device build them once per process, inline or in a pool
+#: worker, instead of once per job.  At most :data:`_DEVICE_LIMIT`.
+_DEVICES: "OrderedDict[str, Device]" = OrderedDict()
+_DEVICE_LIMIT = 8
+_DEVICES_LOCK = threading.Lock()
+
+
+def _job_device(data) -> Device:
+    """The process's :class:`Device` for the device dict ``data``."""
+    key = canonical_json(data)
+    with _DEVICES_LOCK:
+        device = _DEVICES.get(key)
+        if device is not None:
+            _DEVICES.move_to_end(key)
+            return device
+    device = Device.from_dict(data)
+    with _DEVICES_LOCK:
+        _DEVICES[key] = device
+        if len(_DEVICES) > _DEVICE_LIMIT:
+            _DEVICES.popitem(last=False)
+    return device
 
 
 def run_payload(
@@ -178,7 +204,7 @@ def run_payload(
                 ):
                     fault_point("parse")
                     circuit = parse_qasm(payload["qasm"])
-                    device = Device.from_dict(payload["device"])
+                    device = _job_device(payload["device"])
                     config = PassConfig.from_dict(payload["config"])
                     requested = config.router
                     override = payload.get("router_override")

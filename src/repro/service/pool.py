@@ -91,6 +91,8 @@ def _worker_main(worker_id: int, task_queue, out_queue):
             "batch_calls": stats["batch_calls"],
             "family_native_calls": stats["family_native_calls"],
             "family_python_calls": stats["family_python_calls"],
+            "placement_native_calls": stats["placement_native_calls"],
+            "placement_python_calls": stats["placement_python_calls"],
             "preload_s": round(time.perf_counter() - t0, 6),
             "jobs_run": jobs_run,
         }

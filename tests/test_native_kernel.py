@@ -11,6 +11,10 @@ to the pure-Python reference kernel.
 The Python reference is obtained in-process by monkeypatching the native
 entry point to report "unavailable", which exercises the exact fallback
 path ``REPRO_NO_NATIVE=1`` takes.
+
+:class:`TestPlacementPath` runs on every leg: a library compile, an
+inline service job and a pool-worker job each count one placement, in
+the kernel when it is available and in Python otherwise.
 """
 
 import pytest
@@ -25,7 +29,7 @@ from repro.workloads import random_circuit
 
 from .seed_baseline import fingerprint
 
-pytestmark = pytest.mark.skipif(
+needs_kernel = pytest.mark.skipif(
     not warm_kernel(),
     reason="native kernel unavailable (no C compiler or REPRO_NO_NATIVE=1)",
 )
@@ -53,6 +57,7 @@ def _python_reference(monkeypatch, circuit, device):
         return route_astar(circuit, device)
 
 
+@needs_kernel
 class TestLargeDeviceAStar:
     def _check_native_and_identical(self, monkeypatch, factory, nq, ng, seed,
                                     deadline):
@@ -94,6 +99,7 @@ class TestLargeDeviceAStar:
         )
 
 
+@needs_kernel
 class TestCapBoundary:
     def test_linear_64_and_65_route_identically(self):
         # 64 qubits was the single-word kernel's hard cap; 65 the first
@@ -111,6 +117,7 @@ class TestCapBoundary:
         assert results[64] == results[65]
 
 
+@needs_kernel
 class TestFamilyKernel:
     """The SABRE-family kernel: path counters and per-device tables."""
 
@@ -191,3 +198,48 @@ class TestFamilyKernel:
         assert fingerprint(route_sabre(circuit, clone).circuit) == fingerprint(
             route_sabre(circuit, device).circuit
         )
+
+
+class TestPlacementPath:
+    """Which path placed: every ``assignment_placement`` call counts once,
+    in the kernel or, without it, in Python."""
+
+    def test_library_inline_and_pool_count_one_placement_each(self):
+        from repro.core.pipeline import PassConfig, compile_circuit
+        from repro.devices import get_device
+        from repro.qasm import to_openqasm
+        from repro.service import CompileCache, CompileJob, CompileService
+
+        ran, idle = ("placement_native_calls", "placement_python_calls")
+        if not warm_kernel():
+            ran, idle = idle, ran
+
+        def job(seed):
+            qasm = to_openqasm(random_circuit(5, 12, seed=seed, two_qubit_fraction=0.6))
+            return CompileJob.create(
+                qasm, get_device("ibm_qx4"), PassConfig(), job_id=f"place{seed}"
+            )
+
+        # A library compile (the default placer is assignment).
+        before = kernel_stats()
+        compile_circuit(_circuit(5, 12, 0), get_device("ibm_qx4"))
+        after = kernel_stats()
+        assert after[ran] == before[ran] + 1
+        assert after[idle] == before[idle]
+        # An inline service job.
+        service = CompileService(CompileCache())
+        before = service.stats()["kernel"]
+        assert service.submit_batch([job(1)])[0].ok
+        after = service.stats()["kernel"]
+        assert after[ran] == before[ran] + 1
+        assert after[idle] == before[idle]
+        # Pool workers: each reports its own counts.
+        with CompileService(CompileCache(), max_workers=2) as service:
+            ready = {rep["worker_id"]: rep for rep in service.prewarm()}
+            assert all(r.ok for r in service.submit_batch([job(s) for s in range(2, 6)]))
+            reports = service._pool.worker_stats()
+            counts = {
+                key: sum(rep[key] - ready[rep["worker_id"]][key] for rep in reports)
+                for key in (ran, idle)
+            }
+            assert counts == {ran: 4, idle: 0}

@@ -117,7 +117,7 @@ class TestExchangeDelta:
     def test_delta_equals_resummed_difference(self, instance, seed):
         circuit, device = instance
         placement = random_placement(circuit, device, seed=seed)
-        partners = _partners(circuit, device.num_qubits)
+        partners = _partners(circuit.interaction_pairs(), device.num_qubits)
         before = placement_cost(circuit, device, placement)
         for a in range(device.num_qubits):
             for b in range(device.num_qubits):

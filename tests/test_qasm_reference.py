@@ -223,6 +223,26 @@ def _not_finite(outcome: tuple) -> bool:
     )
 
 
+#: The parser's message for a parameter that is not finite.
+_NOT_FINITE = re.compile(
+    r"line (\d+), col (\d+): parameter expression reaches .+, which is not finite"
+)
+
+
+def _through_statement(source: str, line: int, column: int) -> str:
+    """``source`` cut after the line on which the statement starting at
+    ``line``, ``column`` ends (its first ``;``, ``{`` or ``}`` outside a
+    ``//`` comment; the reported line itself for one-line statements)."""
+    lines = source.splitlines(keepends=True)
+    end = line - 1
+    while end < len(lines):
+        text = lines[end].split("//", 1)[0]
+        if re.search(r"[;{}]", text[column - 1:] if end == line - 1 else text):
+            break
+        end += 1
+    return "".join(lines[:end + 1])
+
+
 #: ``Circuit.append``'s message for a condition bit past the last qubit.
 _CONDITION_BIT = re.compile(
     r"gate .+ is conditioned on bit (\d+) but circuit has (\d+) qubits"
@@ -285,13 +305,20 @@ def assert_parses_as_before(source: str) -> None:
             rf"line \d+, col \d+: {re.escape(expected[2])}", actual[2]
         ), actual[2]
         return
-    if (
-        expected[0] == "raised"
-        and expected[1] in (ZeroDivisionError, RecursionError)
-    ) or _not_finite(expected):
+    if expected[0] == "raised" and expected[1] in (ZeroDivisionError, RecursionError):
         # Parameter arithmetic, now checked and reported with a position.
         assert actual[0] == "raised" and actual[1] is QasmError, actual
         assert _ARITHMETIC.fullmatch(actual[2]), actual[2]
+        return
+    not_finite = actual[0] == "raised" and _NOT_FINITE.fullmatch(actual[2])
+    if not_finite or _not_finite(expected):
+        # A parameter that is not finite, now rejected at its statement.
+        # The reference accepted it and may fail on a later statement, so
+        # it must parse the source up to that statement to a parameter
+        # that is not finite.
+        assert not_finite and actual[1] is QasmError, actual
+        head = _through_statement(source, int(not_finite[1]), int(not_finite[2]))
+        assert _not_finite(_outcome(qasm_reference.parse_qasm, head)), head
         return
     if expected[0] == "raised":
         assert actual[:3] == expected[:3]
@@ -348,6 +375,9 @@ def test_second_register_sources_parse_as_before(source):
 @example("OPENQASM 2.0;\nqreg q[2];\ncreg c5[1];\nif(c5==1) x q[0];\n")
 @example("OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c0[0];\n")
 @example("OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c1[1];\n")
+@example(
+    "OPENQASM 2.0;\nqreg q[2];\ncu1(1e1300) q[0],q[1];\nqreg r[0];\nbarrier r[0];\n"
+)
 def test_mutated_sources_parse_as_before(source):
     assert_parses_as_before(source)
 

@@ -561,3 +561,110 @@ class TestBatchEvents:
         results = service.submit_batch([_job(seed=32)], on_event=bomb)
         assert results[0].ok
         service.close()
+
+
+class TestJobDevices:
+    def test_same_device_jobs_build_the_hop_matrix_once_per_process(
+        self, monkeypatch, tmp_path
+    ):
+        # Each job used to build its Device from the payload dict, so each
+        # recomputed the all-pairs hop matrix.  The log records one line
+        # per computation and process; pool workers fork with the patch.
+        from collections import OrderedDict
+
+        import networkx
+
+        from repro.devices import grid_device
+        from repro.service import engine
+
+        log = tmp_path / "hop-matrix-builds"
+        real = networkx.all_pairs_shortest_path_length
+
+        def counted(graph, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(networkx, "all_pairs_shortest_path_length", counted)
+        monkeypatch.setattr(engine, "_DEVICES", OrderedDict())
+        device = grid_device(3, 4)
+        jobs = [
+            CompileJob.create(
+                to_openqasm(random_circuit(6, 20, seed=seed, two_qubit_fraction=0.6)),
+                device, PassConfig(router=router), job_id=f"{router}{seed}",
+            )
+            for seed, router in enumerate(["sabre", "astar", "latency", "reliability"] * 2)
+        ]
+        # Every job on a device of its own, as before.
+        expected = []
+        for job in jobs:
+            engine._DEVICES.clear()
+            expected.append(canonical_json(run_payload(job.payload())["artifact"]))
+        engine._DEVICES.clear()
+        log.unlink()
+        inline = [run_payload(job.payload()) for job in jobs]
+        assert [canonical_json(out["artifact"]) for out in inline] == expected
+        assert log.read_text().split() == [str(os.getpid())]
+        engine._DEVICES.clear()
+        log.unlink()
+        with CompileService(None, max_workers=2) as service:
+            results = service.submit_batch(jobs)
+        assert [canonical_json(r.artifact) for r in results] == expected
+        pids = log.read_text().split()
+        assert 0 < len(pids) == len(set(pids)) <= 2
+        assert str(os.getpid()) not in pids
+
+    def test_held_devices_are_bounded(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.devices import linear_device
+        from repro.service import engine
+
+        monkeypatch.setattr(engine, "_DEVICES", OrderedDict())
+        first = linear_device(3).to_dict()
+        held = engine._job_device(first)
+        assert engine._job_device(dict(reversed(list(first.items())))) is held
+        for n in range(4, 4 + engine._DEVICE_LIMIT):
+            engine._job_device(linear_device(n).to_dict())
+        assert len(engine._DEVICES) == engine._DEVICE_LIMIT
+        assert engine._job_device(first) is not held
+
+    def test_threads_share_held_devices(self, monkeypatch):
+        # Jobs on one device from more threads than cores, with a short
+        # switch interval: each artefact equals its serial compile.
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.devices import grid_device
+        from repro.service import engine
+
+        monkeypatch.setattr(engine, "_DEVICES", OrderedDict())
+        jobs = [
+            CompileJob.create(
+                to_openqasm(random_circuit(6, 16, seed=seed, two_qubit_fraction=0.6)),
+                grid_device(3, 3 + seed % 2), PassConfig(router=router),
+            )
+            for seed, router in enumerate(["sabre", "reliability", "latency"] * 2)
+        ]
+        expected = [canonical_json(run_payload(job.payload())["artifact"]) for job in jobs]
+        engine._DEVICES.clear()
+        got = [[] for _ in range(6)]
+
+        def work(out):
+            for job in jobs:
+                out.append(canonical_json(run_payload(job.payload())["artifact"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expected] * 6
+        assert len(engine._DEVICES) == 2
